@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const int nodes = argc > 2 ? std::atoi(argv[2]) : 16;
   const int ppn = argc > 3 ? std::atoi(argv[3]) : 28;
   const net::ClusterConfig cfg = net::cluster_by_name(cluster);
+  constexpr core::CollKind kAllreduce = core::CollKind::allreduce;
 
   std::cout << "Tuning MPI_Allreduce for cluster " << cfg.name << ", " << nodes
             << " nodes x " << ppn << " ppn"
@@ -32,12 +33,13 @@ int main(int argc, char** argv) {
     core::MeasureOptions opt;
     opt.iterations = 3;
     opt.warmup = 1;
-    const auto r = core::tune_allreduce(cfg, nodes, ppn, bytes, opt);
+    const auto r =
+        core::tune_collective(kAllreduce, cfg, nodes, ppn, bytes, opt);
     table.row()
         .cell(util::format_bytes(bytes))
-        .cell(r.best.spec.label())
+        .cell(r.best.spec.label(kAllreduce))
         .cell(r.best.avg_us, 2)
-        .cell(r.all.size() > 1 ? r.all[1].spec.label() : "-")
+        .cell(r.all.size() > 1 ? r.all[1].spec.label(kAllreduce) : "-")
         .cell(r.all.size() > 1 ? r.all[1].avg_us : 0.0, 2);
   }
   table.print(std::cout);

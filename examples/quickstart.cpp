@@ -5,9 +5,10 @@
 //   $ ./quickstart B 8 28 65536
 //
 // Walks through the three core pieces of the library:
-//   1. net::ClusterConfig       — pick/shape a simulated platform
-//   2. core::measure_allreduce  — run + time + verify a collective design
-//   3. core::AllreduceSpec      — choose algorithms and DPML parameters
+//   1. net::ClusterConfig        — pick/shape a simulated platform
+//   2. core::CollSpec            — name a registered design and its
+//                                  parameters (leaders, pipeline depth)
+//   3. core::measure_collective  — run + time + verify a collective design
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -39,24 +40,24 @@ int main(int argc, char** argv) {
 
   util::Table table({"design", "avg latency (us)", "verified"});
   for (int leaders : {1, 2, 4, 8, 16}) {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
+    core::CollSpec spec;
+    spec.algo = "dpml";
     spec.leaders = leaders;
-    const auto r = core::measure_allreduce(cfg, nodes, ppn, bytes, spec, opt);
+    const auto r = core::measure_collective(core::CollKind::allreduce, cfg,
+                                            nodes, ppn, bytes, spec, opt);
     table.row()
-        .cell(spec.label())
+        .cell(spec.label(core::CollKind::allreduce))
         .cell(r.avg_us, 2)
         .cell(std::string(r.verified ? "yes" : "NO"));
     if (!r.verified) return 1;
   }
-  for (core::Algorithm algo :
-       {core::Algorithm::mvapich2, core::Algorithm::intelmpi,
-        core::Algorithm::recursive_doubling}) {
-    core::AllreduceSpec spec;
+  for (const char* algo : {"mvapich2", "intelmpi", "rd"}) {
+    core::CollSpec spec;
     spec.algo = algo;
-    const auto r = core::measure_allreduce(cfg, nodes, ppn, bytes, spec, opt);
+    const auto r = core::measure_collective(core::CollKind::allreduce, cfg,
+                                            nodes, ppn, bytes, spec, opt);
     table.row()
-        .cell(spec.label())
+        .cell(spec.label(core::CollKind::allreduce))
         .cell(r.avg_us, 2)
         .cell(std::string(r.verified ? "yes" : "NO"));
     if (!r.verified) return 1;

@@ -28,15 +28,15 @@ int main(int argc, char** argv) {
   m.enable_trace();
 
   m.run([&](simmpi::Rank& r) -> sim::CoTask<void> {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
+    core::CollSpec spec;
+    spec.algo = "dpml";
     spec.leaders = 4;
     coll::CollArgs a;
     a.rank = &r;
     a.comm = &m.world();
     a.count = bytes / 4;
     a.inplace = true;
-    co_await core::run_allreduce(a, spec);
+    co_await core::run_collective(core::CollKind::allreduce, a, spec);
   });
 
   std::ofstream os(out);

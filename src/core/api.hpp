@@ -8,10 +8,11 @@
 // spec.algo) pair resolves to a coll::CollDescriptor in the registry, the
 // spec is validated against the descriptor's capability flags (clear
 // failures at dispatch instead of deep inside a phase), and the
-// descriptor's coroutine factory runs. run_allreduce and the Algorithm
-// enum remain as source-compatible shims over the allreduce kind.
+// descriptor's coroutine factory runs. A design is named only by its
+// registered name (`dpmlsim --list-algorithms` prints them).
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "coll/baselines.hpp"
@@ -25,47 +26,6 @@ namespace dpml::core {
 
 using CollKind = coll::CollKind;
 using CollSpec = coll::CollSpec;
-
-enum class Algorithm {
-  // Flat baselines
-  recursive_doubling,
-  reduce_scatter_allgather,
-  ring,
-  binomial,
-  gather_bcast,
-  // Hierarchical designs
-  single_leader,
-  dpml,            // paper §4.1 (pipeline_k > 1 => DPML-Pipelined, §4.2)
-  // SHArP designs (paper §4.3; need a SharpFabric)
-  sharp_node_leader,
-  sharp_socket_leader,
-  // Library-like selection stacks (paper §6.4 baselines)
-  mvapich2,
-  intelmpi,
-  // Tuned DPML selection (paper's "proposed" line; see tuner.hpp)
-  dpml_auto,
-};
-
-const char* algorithm_name(Algorithm algo);
-// Throws util::InvariantError listing every valid name on an unknown name.
-Algorithm algorithm_by_name(const std::string& name);
-
-struct AllreduceSpec {
-  Algorithm algo = Algorithm::dpml;
-  int leaders = 4;
-  int pipeline_k = 1;
-  coll::InterAlgo inter = coll::InterAlgo::automatic;
-  sharp::SharpFabric* fabric = nullptr;  // required by the sharp_* designs
-
-  // Human-readable label for tables, e.g. "dpml(l=16,k=4)".
-  std::string label() const;
-};
-
-// Conversions between the enum-era allreduce spec and the registry's
-// generic spec. to_allreduce_spec throws if spec.algo is not a registered
-// allreduce algorithm name.
-CollSpec to_generic(const AllreduceSpec& spec);
-AllreduceSpec to_allreduce_spec(const CollSpec& spec);
 
 // Run one collective of `kind` with the given spec. SPMD: every rank of
 // args.comm calls this with identical arguments. Spec validation (unknown
@@ -83,15 +43,17 @@ sim::CoTask<void> run_collective(CollKind kind, coll::CollArgs args,
 std::shared_ptr<sim::Flag> start_collective(CollKind kind, coll::CollArgs args,
                                             const CollSpec& spec);
 
-// Compatibility shim over run_collective(CollKind::allreduce, ...).
-sim::CoTask<void> run_allreduce(coll::CollArgs args, const AllreduceSpec& spec);
+// The one SHArP attach rule: a dispatch of `d` wants a SharpFabric when the
+// design needs one, or when it is dpml-auto, which routes small messages
+// through one.
+bool wants_sharp(const coll::CollDescriptor& d);
 
-// Non-blocking allreduce shim (MPI_Iallreduce-style): co_await flag->wait(),
-// or sim::wait_all for a waitall.
-std::shared_ptr<sim::Flag> start_allreduce(coll::CollArgs args,
-                                           const AllreduceSpec& spec);
-
-// True if the algorithm requires a SHArP fabric.
-bool needs_fabric(Algorithm algo);
+// Returns `spec` with a SharpFabric built on `m` attached when the (kind,
+// spec.algo) design wants one, the cluster has SHArP, and the spec carries
+// none. `*storage` owns the fabric and must outlive every dispatch of the
+// result. Throws util::InvariantError, listing the registered names of
+// `kind`, when spec.algo is not one of them.
+CollSpec attach_sharp(CollKind kind, CollSpec spec, simmpi::Machine& m,
+                      std::optional<sharp::SharpFabric>* storage);
 
 }  // namespace dpml::core

@@ -104,15 +104,8 @@ RepOutcome measure_rep(CollKind kind, const net::ClusterConfig& cfg,
   ropt.perturb.seed = opt.perturb.seed + static_cast<std::uint64_t>(rep);
   simmpi::Machine machine(cfg, nodes, ppn, ropt);
 
-  // Attach an in-network aggregation fabric when the design needs it (or
-  // when dpml-auto could route small messages through it).
   std::optional<sharp::SharpFabric> fabric;
-  coll::CollSpec used = spec;
-  if ((desc.caps.needs_fabric || spec.algo == "dpml-auto") &&
-      cfg.has_sharp() && spec.fabric == nullptr) {
-    fabric.emplace(machine);
-    used.fabric = &*fabric;
-  }
+  const coll::CollSpec used = attach_sharp(kind, spec, machine, &fabric);
   if (desc.caps.needs_fabric) {
     DPML_CHECK_MSG(used.fabric != nullptr,
                    "SHArP design requested on a fabric-less cluster");
@@ -443,14 +436,6 @@ MeasureResult measure_collective(CollKind kind, const net::ClusterConfig& cfg,
     res.wait_avg_us = sim::to_us(imb_wait) / ops;
   }
   return res;
-}
-
-MeasureResult measure_allreduce(const net::ClusterConfig& cfg, int nodes,
-                                int ppn, std::size_t bytes,
-                                const AllreduceSpec& spec,
-                                const MeasureOptions& opt) {
-  return measure_collective(CollKind::allreduce, cfg, nodes, ppn, bytes,
-                            to_generic(spec), opt);
 }
 
 }  // namespace dpml::core

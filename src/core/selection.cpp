@@ -75,10 +75,6 @@ const coll::CollSpec& SelectionTable::select(CollKind kind,
   return *catch_all;
 }
 
-AllreduceSpec SelectionTable::select(std::size_t bytes) const {
-  return to_allreduce_spec(select(CollKind::allreduce, bytes));
-}
-
 std::string SelectionTable::serialize() const {
   std::ostringstream os;
   os << "# dpml collective selection table\n";
@@ -175,22 +171,13 @@ SelectionTable SelectionTable::tune(CollKind kind,
   return SelectionTable(std::move(merged));
 }
 
-SelectionTable SelectionTable::tune(const net::ClusterConfig& cfg, int nodes,
-                                    int ppn,
-                                    const std::vector<std::size_t>& probe_sizes,
-                                    const MeasureOptions& opt) {
-  return tune(CollKind::allreduce, cfg, nodes, ppn, probe_sizes, opt);
-}
-
 sim::CoTask<void> run_collective(CollKind kind, coll::CollArgs args,
                                  const SelectionTable& table,
                                  sharp::SharpFabric* fabric) {
   coll::CollSpec spec = table.select(kind, args.bytes());
   const coll::CollDescriptor& d =
       coll::CollRegistry::instance().at(kind, spec.algo);
-  if (d.caps.needs_fabric || spec.algo == "dpml-auto") {
-    spec.fabric = fabric;
-  }
+  if (wants_sharp(d)) spec.fabric = fabric;
   if (d.caps.needs_fabric && spec.fabric == nullptr &&
       kind == CollKind::allreduce) {
     // Graceful degradation on fabric-less platforms: fall back to the tuned
@@ -200,12 +187,6 @@ sim::CoTask<void> run_collective(CollKind kind, coll::CollArgs args,
     spec.pipeline_k = 1;
   }
   return run_collective(kind, std::move(args), spec);
-}
-
-sim::CoTask<void> run_allreduce(coll::CollArgs args,
-                                const SelectionTable& table,
-                                sharp::SharpFabric* fabric) {
-  return run_collective(CollKind::allreduce, std::move(args), table, fabric);
 }
 
 }  // namespace dpml::core

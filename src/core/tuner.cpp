@@ -94,37 +94,4 @@ GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
                          opt);
 }
 
-std::vector<AllreduceSpec> default_candidates(int ppn, bool has_sharp,
-                                              std::size_t bytes) {
-  std::vector<AllreduceSpec> out;
-  for (const coll::CollSpec& s :
-       registry_candidates(CollKind::allreduce, ppn, has_sharp, bytes)) {
-    out.push_back(to_allreduce_spec(s));
-  }
-  return out;
-}
-
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes,
-                          const std::vector<AllreduceSpec>& candidates,
-                          const MeasureOptions& opt) {
-  std::vector<coll::CollSpec> generic;
-  generic.reserve(candidates.size());
-  for (const AllreduceSpec& c : candidates) generic.push_back(to_generic(c));
-  const GenericTuneResult g = tune_collective(CollKind::allreduce, cfg, nodes,
-                                              ppn, bytes, generic, opt);
-  TuneResult result;
-  for (const GenericTunedEntry& e : g.all) {
-    result.all.push_back(TunedEntry{to_allreduce_spec(e.spec), e.avg_us});
-  }
-  result.best = result.all.front();
-  return result;
-}
-
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes, const MeasureOptions& opt) {
-  return tune_allreduce(cfg, nodes, ppn, bytes,
-                        default_candidates(ppn, cfg.has_sharp(), bytes), opt);
-}
-
 }  // namespace dpml::core

@@ -11,8 +11,7 @@
 // Candidates come from the collective registry: every descriptor of the
 // requested kind whose caps mark it tunable contributes, expanded through
 // its capability flags (uses_leaders -> leader sweep, supports_pipelining ->
-// pipelined variants, needs_fabric/max_tune_bytes -> fabric gating). The
-// allreduce entry points are kept as source-compatible shims.
+// pipelined variants, needs_fabric/max_tune_bytes -> fabric gating).
 #pragma once
 
 #include <vector>
@@ -20,8 +19,6 @@
 #include "core/measure.hpp"
 
 namespace dpml::core {
-
-// ---- Generic (any collective kind) ----
 
 struct GenericTunedEntry {
   coll::CollSpec spec;
@@ -52,30 +49,5 @@ GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
 GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
                                   int nodes, int ppn, std::size_t bytes,
                                   const MeasureOptions& opt = {});
-
-// ---- Allreduce compatibility shims ----
-
-struct TunedEntry {
-  AllreduceSpec spec;
-  double avg_us = 0.0;
-};
-
-struct TuneResult {
-  TunedEntry best;
-  std::vector<TunedEntry> all;  // every candidate, fastest first
-};
-
-// Candidate set mirroring the paper's sweep (see registry_candidates).
-std::vector<AllreduceSpec> default_candidates(int ppn, bool has_sharp,
-                                              std::size_t bytes);
-
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes,
-                          const std::vector<AllreduceSpec>& candidates,
-                          const MeasureOptions& opt = {});
-
-// Convenience: default candidate set.
-TuneResult tune_allreduce(const net::ClusterConfig& cfg, int nodes, int ppn,
-                          std::size_t bytes, const MeasureOptions& opt = {});
 
 }  // namespace dpml::core

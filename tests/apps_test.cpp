@@ -1,10 +1,20 @@
-// Workload kernels: osu_mbw_mr, HPCG DDOT, miniAMR refinement.
+// Workload kernels: osu_mbw_mr, HPCG DDOT, miniAMR refinement, and the
+// allreduce design naming shared by every application kernel.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "apps/dl.hpp"
 #include "apps/hpcg.hpp"
 #include "apps/miniamr.hpp"
 #include "apps/osu.hpp"
+#include "apps/replay.hpp"
+#include "apps/stencil.hpp"
 #include "net/cluster.hpp"
+#include "util/error.hpp"
 
 namespace dpml::apps {
 namespace {
@@ -71,7 +81,7 @@ TEST(Hpcg, RunsAndTimesDdot) {
   o.nodes = 2;
   o.ppn = 28;
   o.iterations = 5;
-  o.spec.algo = core::Algorithm::mvapich2;
+  o.spec.algo = "mvapich2";
   const auto r = run_hpcg(cfg, o);
   EXPECT_EQ(r.ddots, 15);  // 3 per iteration
   EXPECT_GT(r.ddot_s, 0.0);
@@ -84,9 +94,9 @@ TEST(Hpcg, SharpImprovesDdot) {
   host.nodes = 2;
   host.ppn = 28;
   host.iterations = 5;
-  host.spec.algo = core::Algorithm::mvapich2;
+  host.spec.algo = "mvapich2";
   HpcgOptions sharp = host;
-  sharp.spec.algo = core::Algorithm::sharp_socket_leader;
+  sharp.spec.algo = "sharp-socket-leader";
   const auto a = run_hpcg(cfg, host);
   const auto b = run_hpcg(cfg, sharp);
   // Paper Figure 11(a): SHArP designs improve DDOT time.
@@ -99,7 +109,7 @@ TEST(Hpcg, Deterministic) {
   o.nodes = 2;
   o.ppn = 4;
   o.iterations = 3;
-  o.spec.algo = core::Algorithm::dpml;
+  o.spec.algo = "dpml";
   const auto a = run_hpcg(cfg, o);
   const auto b = run_hpcg(cfg, o);
   EXPECT_EQ(a.ddot_s, b.ddot_s);
@@ -112,7 +122,7 @@ TEST(MiniAmr, RunsAndEvolvesBlocks) {
   o.nodes = 2;
   o.ppn = 8;
   o.refine_steps = 10;
-  o.spec.algo = core::Algorithm::mvapich2;
+  o.spec.algo = "mvapich2";
   const auto r = run_miniamr(cfg, o);
   EXPECT_GT(r.refine_s, 0.0);
   EXPECT_GT(r.total_s, r.refine_s * 0.5);
@@ -126,9 +136,9 @@ TEST(MiniAmr, DpmlImprovesRefinementTime) {
   base.ppn = 28;
   base.refine_steps = 6;
   base.blocks_per_rank = 32;  // large refinement vectors
-  base.spec.algo = core::Algorithm::mvapich2;
+  base.spec.algo = "mvapich2";
   MiniAmrOptions ours = base;
-  ours.spec.algo = core::Algorithm::dpml_auto;
+  ours.spec.algo = "dpml-auto";
   const auto a = run_miniamr(cfg, base);
   const auto b = run_miniamr(cfg, ours);
   // Paper Figure 11(b): up to ~40% over MVAPICH2 on cluster C.
@@ -141,11 +151,86 @@ TEST(MiniAmr, DeterministicAcrossRuns) {
   o.nodes = 2;
   o.ppn = 16;
   o.refine_steps = 5;
-  o.spec.algo = core::Algorithm::intelmpi;
+  o.spec.algo = "intelmpi";
   const auto a = run_miniamr(cfg, o);
   const auto b = run_miniamr(cfg, o);
   EXPECT_EQ(a.refine_s, b.refine_s);
   EXPECT_EQ(a.final_blocks, b.final_blocks);
+}
+
+TEST(AppKernels, RunAnyRegisteredAllreduceByName) {
+  // Every kernel names its allreduce design through the registry, so a
+  // design registered after the paper's baselines (cring, the multi-channel
+  // ring) runs everywhere, and an unknown name lists the registered ones.
+  const auto cfg = net::cluster_by_name("test");
+  using Kernel = std::function<double(const core::CollSpec&)>;
+  const std::vector<std::pair<const char*, Kernel>> kernels = {
+      {"hpcg",
+       [&](const core::CollSpec& spec) {
+         HpcgOptions o;
+         o.nodes = 2;
+         o.ppn = 2;
+         o.iterations = 2;
+         o.spec = spec;
+         return run_hpcg(cfg, o).ddot_s;
+       }},
+      {"stencil",
+       [&](const core::CollSpec& spec) {
+         StencilOptions o;
+         o.nodes = 2;
+         o.ppn = 2;
+         o.sweeps = 4;
+         o.local_dim = 8;
+         o.spec = spec;
+         return run_stencil(cfg, o).allreduce_s;
+       }},
+      {"dl",
+       [&](const core::CollSpec& spec) {
+         DlOptions o;
+         o.nodes = 2;
+         o.ppn = 2;
+         o.steps = 1;
+         o.buckets = 2;
+         o.bucket_bytes = 64 * 1024;
+         o.spec = spec;
+         return run_dl_training(cfg, o).step_s;
+       }},
+      {"replay",
+       [&](const core::CollSpec& spec) {
+         ReplayOptions o;
+         o.nodes = 2;
+         o.ppn = 2;
+         o.spec = spec;
+         return replay_trace(cfg, parse_trace("allreduce 8\nallreduce 4096\n"),
+                             o)
+             .comm_s;
+       }},
+      {"miniamr",
+       [&](const core::CollSpec& spec) {
+         MiniAmrOptions o;
+         o.nodes = 2;
+         o.ppn = 2;
+         o.refine_steps = 2;
+         o.blocks_per_rank = 4;
+         o.spec = spec;
+         return run_miniamr(cfg, o).refine_s;
+       }},
+  };
+  const auto registered =
+      coll::CollRegistry::instance().names(core::CollKind::allreduce);
+  for (const auto& [name, kernel] : kernels) {
+    EXPECT_GT(kernel(core::CollSpec{.algo = "cring"}), 0.0) << name;
+    try {
+      kernel(core::CollSpec{.algo = "bogus"});
+      ADD_FAILURE() << name << ": expected InvariantError";
+    } catch (const util::InvariantError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'bogus'"), std::string::npos) << name;
+      for (const std::string& n : registered) {
+        EXPECT_NE(what.find(" " + n), std::string::npos) << name << ": " << n;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -155,15 +155,18 @@ core::MeasureOptions perturbed_opts(std::uint64_t seed, int reps) {
 
 TEST(ExecutorSeeds, RepetitionSeedIsBasePlusRepIndex) {
   const net::ClusterConfig cfg = net::cluster_by_name("test");
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 2;
   const auto both =
-      core::measure_allreduce(cfg, 3, 4, 1024, spec, perturbed_opts(7, 2));
+      core::measure_collective(core::CollKind::allreduce, cfg, 3, 4, 1024, spec,
+                               perturbed_opts(7, 2));
   const auto rep0 =
-      core::measure_allreduce(cfg, 3, 4, 1024, spec, perturbed_opts(7, 1));
+      core::measure_collective(core::CollKind::allreduce, cfg, 3, 4, 1024, spec,
+                               perturbed_opts(7, 1));
   const auto rep1 =
-      core::measure_allreduce(cfg, 3, 4, 1024, spec, perturbed_opts(8, 1));
+      core::measure_collective(core::CollKind::allreduce, cfg, 3, 4, 1024, spec,
+                               perturbed_opts(8, 1));
   // The two-repetition sweep is exactly the union of the two single runs
   // with explicitly shifted seeds: integer tallies add, extrema combine.
   EXPECT_EQ(both.events, rep0.events + rep1.events);
@@ -275,6 +278,29 @@ TEST(ExecutorMatrix, NewPatternDpmlVariantsByteIdenticalAcrossJobCounts) {
   expect_identical(serial,
                    measure_with_jobs(CollKind::barrier, cfg, bspec, opt, 4),
                    "barrier/dissemination jobs=4");
+}
+
+TEST(ExecutorMatrix, ClampedLeadersByteIdenticalAcrossJobCounts) {
+  // leaders > ppn clamps with a once-per-configuration warning. The wide
+  // sweep runs first, so that warning is first issued by executor workers
+  // racing each other rather than by this thread.
+  const net::ClusterConfig cfg = net::cluster_by_name("test");
+  core::MeasureOptions opt;
+  opt.iterations = 2;
+  opt.warmup = 1;
+  opt.repetitions = 8;
+  CollSpec clamped;
+  clamped.algo = "dpml";
+  clamped.leaders = 16;  // ppn = 4
+  const auto wide =
+      measure_with_jobs(CollKind::allreduce, cfg, clamped, opt, 4);
+  const auto serial =
+      measure_with_jobs(CollKind::allreduce, cfg, clamped, opt, 1);
+  expect_identical(serial, wide, "allreduce/dpml l=16 jobs=4");
+  CollSpec at_ppn = clamped;
+  at_ppn.leaders = 4;
+  EXPECT_EQ(serial.avg_us,
+            measure_with_jobs(CollKind::allreduce, cfg, at_ppn, opt, 1).avg_us);
 }
 
 TEST(ExecutorMatrix, FabricModeByteIdenticalAcrossJobCounts) {

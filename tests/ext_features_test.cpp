@@ -44,8 +44,8 @@ TEST(Stats, CountsPointToPointTraffic) {
 TEST(Stats, RecursiveDoublingMessageCount) {
   // rd over p=2^k ranks: each rank sends lg p messages (plus the initial
   // local copy, which is not a message).
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::recursive_doubling;
+  core::CollSpec spec;
+  spec.algo = "rd";
   simmpi::RunOptions opt;
   opt.with_data = false;
   Machine m(net::test_cluster(8), 8, 1, opt);
@@ -55,14 +55,14 @@ TEST(Stats, RecursiveDoublingMessageCount) {
     a.comm = &m.world();
     a.count = 16;
     a.inplace = true;
-    co_await core::run_allreduce(a, spec);
+    co_await core::run_collective(core::CollKind::allreduce, a, spec);
   });
   EXPECT_EQ(m.comm_stats().net_messages, 8u * 3u);  // p * lg p
 }
 
 TEST(Stats, DpmlMovesLessNetDataThanFlat) {
-  auto run = [](core::Algorithm algo) {
-    core::AllreduceSpec spec;
+  auto run = [](const char* algo) {
+    core::CollSpec spec;
     spec.algo = algo;
     spec.leaders = 4;
     simmpi::RunOptions opt;
@@ -74,18 +74,17 @@ TEST(Stats, DpmlMovesLessNetDataThanFlat) {
       a.comm = &m.world();
       a.count = 64 * 1024;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     });
     return m.comm_stats().net_bytes;
   };
   // Hierarchical designs put only the leaders on the fabric.
-  EXPECT_LT(run(core::Algorithm::dpml),
-            run(core::Algorithm::recursive_doubling));
+  EXPECT_LT(run("dpml"), run("rd"));
 }
 
 TEST(Stats, NicUtilizationHigherUnderFlatAlgorithms) {
-  auto run = [](core::Algorithm algo) {
-    core::AllreduceSpec spec;
+  auto run = [](const char* algo) {
+    core::CollSpec spec;
     spec.algo = algo;
     spec.leaders = 8;
     simmpi::RunOptions opt;
@@ -97,12 +96,12 @@ TEST(Stats, NicUtilizationHigherUnderFlatAlgorithms) {
       a.comm = &m.world();
       a.count = 128 * 1024;
       a.inplace = true;
-      co_await core::run_allreduce(a, spec);
+      co_await core::run_collective(core::CollKind::allreduce, a, spec);
     });
     return m.avg_tx_utilization();
   };
-  const double flat = run(core::Algorithm::reduce_scatter_allgather);
-  const double dpml = run(core::Algorithm::dpml);
+  const double flat = run("rsa");
+  const double dpml = run("dpml");
   EXPECT_GT(flat, 0.0);
   EXPECT_GT(dpml, 0.0);
   EXPECT_LE(dpml, 1.0);
@@ -124,10 +123,10 @@ TEST(Selection, SelectRespectsThresholds) {
   rest.spec.algo = "dpml";
   rest.spec.leaders = 16;
   core::SelectionTable t({small, mid, rest});
-  EXPECT_EQ(t.select(4).algo, core::Algorithm::recursive_doubling);
-  EXPECT_EQ(t.select(1024).algo, core::Algorithm::recursive_doubling);
-  EXPECT_EQ(t.select(1025).leaders, 4);
-  EXPECT_EQ(t.select(1 << 20).leaders, 16);
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 4).algo, "rd");
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1024).algo, "rd");
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1025).leaders, 4);
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1 << 20).leaders, 16);
 }
 
 TEST(Selection, SerializeParseRoundTrip) {
@@ -138,11 +137,11 @@ TEST(Selection, SerializeParseRoundTrip) {
       "*  dpml 16 4\n";
   const auto t = core::SelectionTable::parse(text);
   ASSERT_EQ(t.entries().size(), 3u);
-  EXPECT_EQ(t.select(100).algo, core::Algorithm::sharp_socket_leader);
-  EXPECT_EQ(t.select(1 << 20).pipeline_k, 4);
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 100).algo, "sharp-socket-leader");
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1 << 20).pipeline_k, 4);
   const auto again = core::SelectionTable::parse(t.serialize());
   EXPECT_EQ(again.entries().size(), t.entries().size());
-  EXPECT_EQ(again.select(4096).leaders, 8);
+  EXPECT_EQ(again.select(core::CollKind::allreduce, 4096).leaders, 8);
 }
 
 TEST(Selection, RejectsMalformedTables) {
@@ -164,10 +163,11 @@ TEST(Selection, TunedTableIsOrderedAndUsable) {
   opt.iterations = 2;
   opt.warmup = 1;
   const auto t = core::SelectionTable::tune(
-      cfg, 8, 28, {256, 16384, 262144}, opt);
+      core::CollKind::allreduce, cfg, 8, 28, {256, 16384, 262144}, opt);
   ASSERT_FALSE(t.empty());
   // Larger probes should never select fewer leaders than the small probe.
-  EXPECT_LE(t.select(64).leaders, t.select(262144).leaders);
+  EXPECT_LE(t.select(core::CollKind::allreduce, 64).leaders,
+            t.select(core::CollKind::allreduce, 262144).leaders);
 }
 
 TEST(Selection, DispatcherRunsThroughTable) {
@@ -181,7 +181,7 @@ TEST(Selection, DispatcherRunsThroughTable) {
     a.comm = &m.world();
     a.count = 4096;  // 16KB -> dpml entry
     a.inplace = true;
-    co_await core::run_allreduce(a, t);
+    co_await core::run_collective(core::CollKind::allreduce, a, t);
   });
   SUCCEED();
 }
@@ -198,7 +198,7 @@ TEST(Selection, FabriclessFallbackForSharpEntries) {
     a.comm = &m.world();
     a.count = 16;  // small -> sharp entry -> must degrade gracefully
     a.inplace = true;
-    co_await core::run_allreduce(a, t, nullptr);
+    co_await core::run_collective(core::CollKind::allreduce, a, t, nullptr);
   });
   SUCCEED();
 }
@@ -249,13 +249,14 @@ TEST(MultiRail, DoublesAggregateBandwidthForManyPairs) {
 
 TEST(MultiRail, SpeedsUpDpmlLargeAllreduce) {
   auto lat = [](const net::ClusterConfig& cfg) {
-    core::AllreduceSpec spec;
-    spec.algo = core::Algorithm::dpml;
+    core::CollSpec spec;
+    spec.algo = "dpml";
     spec.leaders = 16;
     core::MeasureOptions opt;
     opt.iterations = 2;
     opt.warmup = 1;
-    return core::measure_allreduce(cfg, 8, 28, 1 << 20, spec, opt).avg_us;
+    return core::measure_collective(core::CollKind::allreduce, cfg, 8, 28,
+                                    1 << 20, spec, opt).avg_us;
   };
   const double single = lat(net::cluster_b());
   const double dual = lat(net::with_rails(net::cluster_b(), 2));
@@ -263,15 +264,16 @@ TEST(MultiRail, SpeedsUpDpmlLargeAllreduce) {
 }
 
 TEST(MultiRail, CollectivesRemainCorrect) {
-  core::AllreduceSpec spec;
-  spec.algo = core::Algorithm::dpml;
+  core::CollSpec spec;
+  spec.algo = "dpml";
   spec.leaders = 4;
   core::MeasureOptions opt;
   opt.with_data = true;
   opt.iterations = 2;
   opt.warmup = 0;
-  const auto r = core::measure_allreduce(
-      net::with_rails(net::test_cluster(4), 2), 4, 4, 4096, spec, opt);
+  const auto r = core::measure_collective(
+      core::CollKind::allreduce, net::with_rails(net::test_cluster(4), 2), 4,
+      4, 4096, spec, opt);
   EXPECT_TRUE(r.verified);
 }
 

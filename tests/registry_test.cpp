@@ -87,18 +87,6 @@ TEST(Registry, UnknownNameErrorListsRegisteredNames) {
   }
 }
 
-TEST(Registry, AlgorithmByNameErrorListsValidNames) {
-  try {
-    core::algorithm_by_name("not-an-algo");
-    FAIL() << "expected InvariantError";
-  } catch (const util::InvariantError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("not-an-algo"), std::string::npos);
-    EXPECT_NE(what.find("dpml-auto"), std::string::npos);
-    EXPECT_NE(what.find("sharp-socket-leader"), std::string::npos);
-  }
-}
-
 TEST(Registry, RejectsDuplicateRegistration) {
   coll::CollDescriptor d;
   d.name = "dpml";  // already registered for allreduce
@@ -111,7 +99,7 @@ TEST(Registry, RejectsDuplicateRegistration) {
 // Equivalence: the registry path must charge exactly the same simulated
 // time as invoking the src/coll coroutine directly.
 
-sim::Time direct_allreduce_time(core::Algorithm algo, int leaders, int k) {
+sim::Time direct_allreduce_time(const std::string& name, int leaders, int k) {
   simmpi::RunOptions opt;
   opt.with_data = false;
   Machine m(net::test_cluster(4), 4, 4, opt);
@@ -121,40 +109,27 @@ sim::Time direct_allreduce_time(core::Algorithm algo, int leaders, int k) {
     a.comm = &m.world();
     a.count = 4096;
     a.inplace = true;
-    switch (algo) {
-      case core::Algorithm::recursive_doubling:
-        co_await coll::allreduce_recursive_doubling(a);
-        break;
-      case core::Algorithm::reduce_scatter_allgather:
-        co_await coll::allreduce_reduce_scatter_allgather(a);
-        break;
-      case core::Algorithm::ring:
-        co_await coll::allreduce_ring(a);
-        break;
-      case core::Algorithm::binomial:
-        co_await coll::allreduce_binomial(a);
-        break;
-      case core::Algorithm::gather_bcast:
-        co_await coll::allreduce_gather_bcast(a);
-        break;
-      case core::Algorithm::single_leader:
-        co_await coll::allreduce_single_leader(a, coll::InterAlgo::automatic);
-        break;
-      case core::Algorithm::dpml: {
-        coll::DpmlParams p;
-        p.leaders = leaders;
-        p.pipeline_k = k;
-        co_await coll::allreduce_dpml(a, p);
-        break;
-      }
-      case core::Algorithm::mvapich2:
-        co_await coll::allreduce_mvapich2(a);
-        break;
-      case core::Algorithm::intelmpi:
-        co_await coll::allreduce_intelmpi(a);
-        break;
-      default:
-        break;
+    if (name == "rd") {
+      co_await coll::allreduce_recursive_doubling(a);
+    } else if (name == "rsa") {
+      co_await coll::allreduce_reduce_scatter_allgather(a);
+    } else if (name == "ring") {
+      co_await coll::allreduce_ring(a);
+    } else if (name == "binomial") {
+      co_await coll::allreduce_binomial(a);
+    } else if (name == "gather-bcast") {
+      co_await coll::allreduce_gather_bcast(a);
+    } else if (name == "single-leader") {
+      co_await coll::allreduce_single_leader(a, coll::InterAlgo::automatic);
+    } else if (name == "dpml") {
+      coll::DpmlParams p;
+      p.leaders = leaders;
+      p.pipeline_k = k;
+      co_await coll::allreduce_dpml(a, p);
+    } else if (name == "mvapich2") {
+      co_await coll::allreduce_mvapich2(a);
+    } else if (name == "intelmpi") {
+      co_await coll::allreduce_intelmpi(a);
     }
   });
   return m.now();
@@ -182,59 +157,26 @@ sim::Time registry_allreduce_time(const std::string& name, int leaders,
 
 TEST(Equivalence, RegistryPathMatchesDirectInvocationExactly) {
   struct Case {
-    core::Algorithm algo;
     const char* name;
     int leaders;
     int k;
   };
   const Case cases[] = {
-      {core::Algorithm::recursive_doubling, "rd", 1, 1},
-      {core::Algorithm::reduce_scatter_allgather, "rsa", 1, 1},
-      {core::Algorithm::ring, "ring", 1, 1},
-      {core::Algorithm::binomial, "binomial", 1, 1},
-      {core::Algorithm::gather_bcast, "gather-bcast", 1, 1},
-      {core::Algorithm::single_leader, "single-leader", 1, 1},
-      {core::Algorithm::dpml, "dpml", 2, 1},
-      {core::Algorithm::dpml, "dpml", 4, 2},
-      {core::Algorithm::mvapich2, "mvapich2", 1, 1},
-      {core::Algorithm::intelmpi, "intelmpi", 1, 1},
+      {"rd", 1, 1},
+      {"rsa", 1, 1},
+      {"ring", 1, 1},
+      {"binomial", 1, 1},
+      {"gather-bcast", 1, 1},
+      {"single-leader", 1, 1},
+      {"dpml", 2, 1},
+      {"dpml", 4, 2},
+      {"mvapich2", 1, 1},
+      {"intelmpi", 1, 1},
   };
   for (const Case& c : cases) {
-    EXPECT_EQ(direct_allreduce_time(c.algo, c.leaders, c.k),
+    EXPECT_EQ(direct_allreduce_time(c.name, c.leaders, c.k),
               registry_allreduce_time(c.name, c.leaders, c.k))
         << c.name << " l=" << c.leaders << " k=" << c.k;
-  }
-}
-
-TEST(Equivalence, RunAllreduceShimMatchesGenericEntry) {
-  for (core::Algorithm algo :
-       {core::Algorithm::recursive_doubling, core::Algorithm::dpml,
-        core::Algorithm::mvapich2, core::Algorithm::dpml_auto}) {
-    auto run = [&](bool generic) {
-      simmpi::RunOptions opt;
-      opt.with_data = false;
-      Machine m(net::test_cluster(4), 4, 4, opt);
-      core::AllreduceSpec spec;
-      spec.algo = algo;
-      spec.leaders = 2;
-      m.run([&](Rank& r) -> sim::CoTask<void> {
-        coll::CollArgs a;
-        a.rank = &r;
-        a.comm = &m.world();
-        a.count = 1024;
-        a.inplace = true;
-        if (generic) {
-          // Named spec, not a temporary: gcc 12 double-destroys extra
-          // temporaries in a co_await full expression (await-temporary).
-          const core::CollSpec gspec = core::to_generic(spec);
-          co_await core::run_collective(core::CollKind::allreduce, a, gspec);
-        } else {
-          co_await core::run_allreduce(a, spec);
-        }
-      });
-      return m.now();
-    };
-    EXPECT_EQ(run(false), run(true)) << core::algorithm_name(algo);
   }
 }
 
@@ -421,9 +363,9 @@ TEST(SelectionRegistry, LegacyAllreduceTablesParseUnchanged) {
   for (const auto& e : t.entries()) {
     EXPECT_EQ(e.kind, CollKind::allreduce);
   }
-  EXPECT_EQ(t.select(100).algo, core::Algorithm::sharp_socket_leader);
-  EXPECT_EQ(t.select(5000).leaders, 4);
-  EXPECT_EQ(t.select(1 << 20).pipeline_k, 4);
+  EXPECT_EQ(t.select(CollKind::allreduce, 100).algo, "sharp-socket-leader");
+  EXPECT_EQ(t.select(CollKind::allreduce, 5000).leaders, 4);
+  EXPECT_EQ(t.select(CollKind::allreduce, 1 << 20).pipeline_k, 4);
 }
 
 TEST(SelectionRegistry, OpQualifiedTablesRoundTrip) {
@@ -444,7 +386,7 @@ TEST(SelectionRegistry, OpQualifiedTablesRoundTrip) {
   EXPECT_EQ(t.select(CollKind::reduce, 1 << 20).leaders, 8);
   EXPECT_EQ(t.select(CollKind::bcast, 1 << 20).algo, "scatter-allgather");
   EXPECT_EQ(t.select(CollKind::alltoall, 64).algo, "pairwise");
-  EXPECT_EQ(t.select(4096).algo, core::Algorithm::dpml);
+  EXPECT_EQ(t.select(CollKind::allreduce, 4096).algo, "dpml");
 
   // Serialize -> parse -> serialize is a fixed point.
   const std::string once = t.serialize();
@@ -508,20 +450,6 @@ TEST(TunerRegistry, RegistryCandidatesCoverReduceDesigns) {
   // Leader sweep {1,2,4,8,16} clamped to ppn=4 -> {1,2,4}; reduce-dpml has
   // no pipelined variants.
   EXPECT_EQ(dpml_variants, 3);
-}
-
-TEST(TunerRegistry, AllreduceCandidatesMatchLegacyDefaultCandidates) {
-  for (std::size_t bytes : {512ul, 512ul * 1024ul}) {
-    const auto legacy = core::default_candidates(28, true, bytes);
-    const auto generic =
-        core::registry_candidates(CollKind::allreduce, 28, true, bytes);
-    ASSERT_EQ(legacy.size(), generic.size()) << bytes;
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ(core::algorithm_name(legacy[i].algo), generic[i].algo);
-      EXPECT_EQ(legacy[i].leaders, generic[i].leaders);
-      EXPECT_EQ(legacy[i].pipeline_k, generic[i].pipeline_k);
-    }
-  }
 }
 
 TEST(TunerRegistry, TuneCollectivePicksAReduceWinner) {

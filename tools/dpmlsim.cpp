@@ -63,7 +63,8 @@ int usage() {
       "  hpcg:       --iterations N --algo NAME\n"
       "  miniamr:    --steps N --blocks B --algo NAME\n"
       "  stencil:    --sweeps N --check-every K --algo NAME\n"
-      "  dl:         --steps N --buckets B --bucket BYTES --overlap BOOL\n"
+      "  dl:         --steps N --buckets B --bucket BYTES --overlap BOOL "
+      "--algo NAME\n"
       "  replay:     --trace FILE --reps N --algo NAME\n"
       "  verify:     --nodes N --ppn P  (data-mode self-test, all kinds)\n"
       "common:       --cluster A|B|C|D|test --nodes N --ppn P --rails R\n"
@@ -480,11 +481,11 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
   for (std::size_t bytes : sizes) {
     t.row().cell(util::format_bytes(bytes));
     for (int l : {1, 2, 4, 8, 16}) {
-      core::AllreduceSpec spec;
-      spec.algo = core::Algorithm::dpml;
+      core::CollSpec spec;
+      spec.algo = "dpml";
       spec.leaders = l;
-      t.cell(core::measure_allreduce(cfg, nodes, ppn, bytes, spec,
-                                     measure_opts(args))
+      t.cell(core::measure_collective(core::CollKind::allreduce, cfg, nodes,
+                                      ppn, bytes, spec, measure_opts(args))
                  .avg_us,
              2);
     }
@@ -578,17 +579,26 @@ int cmd_fit(const net::ClusterConfig& cfg) {
   return 0;
 }
 
+// --algo for the application kernels: a registered allreduce design. An
+// unknown name fails here, before any simulation, listing the registered
+// ones.
+std::string allreduce_algo(const util::Args& args, const char* fallback) {
+  return coll::CollRegistry::instance()
+      .at(core::CollKind::allreduce, args.get("algo", fallback))
+      .name;
+}
+
 int cmd_hpcg(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
   apps::HpcgOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
   o.iterations = static_cast<int>(args.get_int("iterations", 25));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "mvapich2"));
+  o.spec.algo = allreduce_algo(args, "mvapich2");
   const auto r = apps::run_hpcg(cfg, o);
   std::cout << "HPCG on cluster " << cfg.name << ", " << nodes * ppn
             << " ranks, " << o.iterations << " iterations with "
-            << core::algorithm_name(o.spec.algo) << ":\n"
+            << o.spec.algo << ":\n"
             << "  DDOT total:  " << util::format_seconds(r.ddot_s) << "\n"
             << "  per DDOT:    " << r.ddot_avg_us << " us\n"
             << "  CG loop:     " << util::format_seconds(r.total_s) << "\n";
@@ -602,7 +612,7 @@ int cmd_stencil(const util::Args& args, const net::ClusterConfig& cfg,
   o.ppn = ppn;
   o.sweeps = static_cast<int>(args.get_int("sweeps", 20));
   o.check_every = static_cast<int>(args.get_int("check-every", 4));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = allreduce_algo(args, "dpml-auto");
   const auto r = apps::run_stencil(cfg, o);
   std::cout << "3D stencil on cluster " << cfg.name << ", grid " << r.grid[0]
             << "x" << r.grid[1] << "x" << r.grid[2] << ":\n"
@@ -622,10 +632,9 @@ int cmd_dl(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
   o.buckets = static_cast<int>(args.get_int("buckets", 16));
   o.bucket_bytes = args.get_bytes("bucket", 4 << 20);
   o.overlap = args.get_bool("overlap", true);
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = allreduce_algo(args, "dpml-auto");
   const auto r = apps::run_dl_training(cfg, o);
-  std::cout << "SGD on cluster " << cfg.name << " with "
-            << core::algorithm_name(o.spec.algo)
+  std::cout << "SGD on cluster " << cfg.name << " with " << o.spec.algo
             << (o.overlap ? " (overlapped)" : " (blocking)") << ":\n"
             << "  step time:     " << util::format_seconds(r.step_s) << "\n"
             << "  exposed comm:  " << util::format_seconds(r.exposed_comm_s)
@@ -655,10 +664,10 @@ int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
   o.nodes = nodes;
   o.ppn = ppn;
   o.repetitions = static_cast<int>(args.get_int("reps", 1));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = allreduce_algo(args, "dpml-auto");
   const auto r = apps::replay_trace(cfg, trace, o);
   std::cout << "replayed " << r.ops << " collective ops on cluster "
-            << cfg.name << " with " << core::algorithm_name(o.spec.algo)
+            << cfg.name << " with " << o.spec.algo
             << ":\n  total: " << util::format_seconds(r.total_s)
             << "\n  in collectives: " << util::format_seconds(r.comm_s)
             << " (" << (r.comm_s / r.total_s) * 100.0 << "%)\n";
@@ -672,11 +681,11 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
   o.ppn = ppn;
   o.refine_steps = static_cast<int>(args.get_int("steps", 10));
   o.blocks_per_rank = static_cast<int>(args.get_int("blocks", 32));
-  o.spec.algo = core::algorithm_by_name(args.get("algo", "dpml-auto"));
+  o.spec.algo = allreduce_algo(args, "dpml-auto");
   const auto r = apps::run_miniamr(cfg, o);
   std::cout << "miniAMR on cluster " << cfg.name << ", " << nodes * ppn
             << " ranks, " << o.refine_steps << " steps with "
-            << core::algorithm_name(o.spec.algo) << ":\n"
+            << o.spec.algo << ":\n"
             << "  refinement total: " << util::format_seconds(r.refine_s)
             << "\n  per step:         " << r.per_step_us << " us\n"
             << "  final blocks:     " << r.final_blocks << "\n";
