@@ -74,7 +74,8 @@ def cmd_delta(args):
         print(f"[perf-delta] {tag}: {old_eps} -> {new_eps} events/sec "
               f"({change:+.1f}%) {mark}")
         for field in ("events", "peak_queue_depth", "peak_rss_kb",
-                      "elided_bytes", "fabric_flows", "max_link_util"):
+                      "elided_bytes", "fabric_flows", "max_link_util",
+                      "fabric_recomputes", "fabric_completions_superseded"):
             if field in new or field in old:
                 print(f"[perf-delta]   {field}: {old.get(field, '-')} -> "
                       f"{new.get(field, '-')}")

@@ -183,8 +183,7 @@ void FlowFabric::set_way_down(int leaf, int way, bool down) {
   // Recomputing from scratch (rather than only moving flows off dead ways)
   // also rebalances flows back onto recovered ways, so recovery restores
   // the exact pristine routing.
-  for (auto& [id, f] : flows_) {
-    (void)id;
+  for (Flow& f : flows_) {
     if (f.nlinks != 4) continue;
     const int w = choose_way(f.src, f.dst);
     f.links[1] = leaf_uplink(f.src / topo_.nodes_per_leaf, w);
@@ -292,6 +291,7 @@ FlowFabric::FlowId FlowFabric::launch(const int* links, int nlinks,
   }
   advance(now);
   Flow f;
+  f.id = id;
   for (int i = 0; i < nlinks; ++i) f.links[i] = links[i];
   f.nlinks = nlinks;
   f.src = src;
@@ -300,7 +300,7 @@ FlowFabric::FlowId FlowFabric::launch(const int* links, int nlinks,
   f.remaining = static_cast<double>(bytes);
   f.cap = to_bps(rate_cap_gbps);
   f.done = std::move(done);
-  flows_.emplace(id, std::move(f));
+  flows_.push_back(std::move(f));  // ids ascend: the vector stays sorted
   recompute(now);
   reschedule(now);
   return id;
@@ -324,8 +324,7 @@ void FlowFabric::advance(sim::Time now) {
   const sim::Time dt = now - last_;
   if (dt == 0) return;
   const double dt_s = sim::to_seconds(dt);
-  for (auto& [id, f] : flows_) {
-    (void)id;
+  for (Flow& f : flows_) {
     const double drained = std::min(f.remaining, f.rate * dt_s);
     f.remaining -= drained;
     if (!group_bytes_.empty() &&
@@ -336,7 +335,8 @@ void FlowFabric::advance(sim::Time now) {
       }
     }
   }
-  for (Link& l : links_) {
+  for (int id : active_) {  // only links carrying flows hold a load
+    Link& l = links_[static_cast<std::size_t>(id)];
     if (l.cap > 0.0 && l.load > 0.0) {
       l.busy_integral += (l.load / l.cap) * static_cast<double>(dt);
     }
@@ -345,83 +345,129 @@ void FlowFabric::advance(sim::Time now) {
 }
 
 void FlowFabric::recompute(sim::Time now) {
-  // Refresh scaled capacities and close/open congestion intervals against
-  // the new flow set.
-  for (Link& l : links_) {
-    l.cap = scaled_capacity(static_cast<int>(&l - links_.data()), now);
+  ++stats_.recomputes;
+  // Only the links that carried flows at the last recompute hold a load.
+  for (int id : active_) {
+    Link& l = links_[static_cast<std::size_t>(id)];
     l.load = 0.0;
     l.nflows = 0;
   }
-  for (auto& [id, f] : flows_) {
-    (void)id;
+  // Index the live flows per link, in flow-id order: count each link's
+  // flows (collecting the links that carry any), lay out one contiguous
+  // member range per link, then fill the ranges in id order.
+  active_.clear();
+  unfrozen_.clear();
+  for (std::size_t k = 0; k < flows_.size(); ++k) {
+    Flow& f = flows_[k];
     f.rate = -1.0;  // unfrozen
     for (int i = 0; i < f.nlinks; ++i) {
-      ++links_[static_cast<std::size_t>(f.links[i])].nflows;
+      if (links_[static_cast<std::size_t>(f.links[i])].nflows++ == 0) {
+        active_.push_back(f.links[i]);
+      }
     }
+    unfrozen_.push_back(k);
+  }
+  std::size_t offset = 0;
+  for (int id : active_) {
+    Link& l = links_[static_cast<std::size_t>(id)];
+    // Only a link carrying flows has an observable capacity: an idle link
+    // contributes zero load to every statistic.
+    l.cap = scaled_capacity(id, now);
+    l.first = offset;
+    l.count = static_cast<std::size_t>(l.nflows);
+    offset += l.count;
+    l.nflows = 0;
+  }
+  members_.resize(offset);
+  for (std::size_t k = 0; k < flows_.size(); ++k) {
+    const Flow& f = flows_[k];
+    for (int i = 0; i < f.nlinks; ++i) {
+      Link& l = links_[static_cast<std::size_t>(f.links[i])];
+      members_[l.first + static_cast<std::size_t>(l.nflows++)] = k;
+    }
+  }
+  open_ = active_;
+  for (int id : open_) {
+    Link& l = links_[static_cast<std::size_t>(id)];
+    l.share = (l.cap - l.load) / l.nflows;
   }
 
   // Progressive filling: raise one shared water level across all unfrozen
   // flows; each round freezes every flow on a newly-saturated link (at the
-  // link's fair share) or at its own rate cap, whichever binds first.
-  int unfrozen = static_cast<int>(flows_.size());
-  while (unfrozen > 0) {
+  // link's fair share) or at its own rate cap, whichever binds first. The
+  // level and freeze scans are order-independent, so they visit only the
+  // unfrozen flows and the links still carrying one. A link's load is
+  // re-summed over its frozen members in id order whenever one of them
+  // freezes, so the floating-point sums — and the rates — equal a full
+  // rescan's; its fair share changes only then, so it is cached.
+  while (!unfrozen_.empty()) {
+    ++stats_.fill_rounds;
     double level = std::numeric_limits<double>::infinity();
-    for (const Link& l : links_) {
-      if (l.nflows > 0) {
-        level = std::min(level, (l.cap - l.load) / l.nflows);
-      }
+    for (int id : open_) {
+      level = std::min(level, links_[static_cast<std::size_t>(id)].share);
     }
-    for (const auto& [id, f] : flows_) {
-      (void)id;
-      if (f.rate < 0.0) level = std::min(level, f.cap);
-    }
+    for (std::size_t k : unfrozen_) level = std::min(level, flows_[k].cap);
     DPML_CHECK(level >= 0.0 && std::isfinite(level));
     const double freeze_at = level * (1.0 + kRelEps) + 1.0;
-    for (auto& [id, f] : flows_) {
-      (void)id;
-      if (f.rate >= 0.0) continue;
+    frozen_.clear();
+    std::size_t still = 0;
+    for (std::size_t k : unfrozen_) {
+      Flow& f = flows_[k];
       bool frozen = f.cap <= freeze_at;
       for (int i = 0; i < f.nlinks && !frozen; ++i) {
         const Link& l = links_[static_cast<std::size_t>(f.links[i])];
-        frozen = (l.cap - l.load) / l.nflows <= freeze_at;
+        frozen = l.share <= freeze_at;
       }
-      if (!frozen) continue;
-      f.rate = std::min(level, f.cap);
-      --unfrozen;
+      if (frozen) {
+        f.rate = std::min(level, f.cap);
+        frozen_.push_back(k);
+      } else {
+        unfrozen_[still++] = k;
+      }
     }
+    unfrozen_.resize(still);
     // Commit the frozen rates to their links.
-    for (Link& l : links_) {
-      l.load = 0.0;
-      l.nflows = 0;
-    }
-    for (const auto& [id, f] : flows_) {
-      (void)id;
+    dirty_.clear();
+    for (std::size_t k : frozen_) {
+      const Flow& f = flows_[k];
       for (int i = 0; i < f.nlinks; ++i) {
         Link& l = links_[static_cast<std::size_t>(f.links[i])];
-        if (f.rate >= 0.0) {
-          l.load += f.rate;
-        } else {
-          ++l.nflows;
+        --l.nflows;
+        if (!l.dirty) {
+          l.dirty = true;
+          dirty_.push_back(f.links[i]);
         }
       }
     }
+    for (int id : dirty_) {
+      Link& l = links_[static_cast<std::size_t>(id)];
+      l.dirty = false;
+      l.load = 0.0;
+      for (std::size_t m = l.first; m < l.first + l.count; ++m) {
+        const Flow& f = flows_[members_[m]];
+        if (f.rate >= 0.0) l.load += f.rate;
+      }
+      if (l.nflows > 0) l.share = (l.cap - l.load) / l.nflows;
+    }
+    std::erase_if(open_, [this](int id) {
+      return links_[static_cast<std::size_t>(id)].nflows == 0;
+    });
   }
 
   // Final per-link flow counts (everything is frozen now; the filling loop
   // left nflows at zero).
-  for (const auto& [id, f] : flows_) {
-    (void)id;
-    for (int i = 0; i < f.nlinks; ++i) {
-      ++links_[static_cast<std::size_t>(f.links[i])].nflows;
-    }
+  for (int id : active_) {
+    Link& l = links_[static_cast<std::size_t>(id)];
+    l.nflows = static_cast<int>(l.count);
   }
 
   // Conservation invariant (always on, cheap): no link is allocated beyond
-  // its capacity, and the instantaneous peak is recorded.
+  // its capacity, and the instantaneous peak is recorded. An idle link
+  // (zero load) can neither violate it nor raise the peak.
   for (Link& l : links_) {
-    DPML_CHECK_MSG(l.load <= l.cap * (1.0 + 1e-6) + 1.0,
-                   "fabric link '" + l.name + "' over-allocated");
-    if (l.cap > 0.0) {
+    if (l.load > 0.0) {
+      DPML_CHECK_MSG(l.load <= l.cap * (1.0 + 1e-6) + 1.0,
+                     "fabric link '" + l.name + "' over-allocated");
       peak_util_ = std::max(peak_util_, l.load / l.cap);
     }
     // Congestion bookkeeping: an interval is open while >= 2 flows share
@@ -440,38 +486,60 @@ void FlowFabric::recompute(sim::Time now) {
 }
 
 void FlowFabric::reschedule(sim::Time now) {
-  for (auto& [id, f] : flows_) {
-    ++f.gen;
+  ++batch_;
+  // Every flow's eta keeps its exact expression; only the earliest (first
+  // in id order on ties) is armed. Any other flow's event could only ever
+  // have popped stale: the armed one fires first and re-batches everything.
+  const Flow* next = nullptr;
+  sim::Time next_eta = 0;
+  for (const Flow& f : flows_) {
     DPML_CHECK(f.rate > 0.0);
     const double eta_s = f.remaining / f.rate;
     const sim::Time eta =
         now + std::max<sim::Time>(
                   1, static_cast<sim::Time>(
                          std::ceil(eta_s * static_cast<double>(sim::kSecond))));
-    const FlowId fid = id;
-    const std::uint64_t gen = f.gen;
-    engine_.schedule_call(eta,
-                        [this, fid, gen]() { on_completion_event(fid, gen); });
+    if (next == nullptr || eta < next_eta) {
+      next = &f;
+      next_eta = eta;
+    }
   }
+  if (next == nullptr) return;
+  ++stats_.completions_armed;
+  engine_.schedule_call(next_eta, [this, fid = next->id, batch = batch_]() {
+    on_completion_event(fid, batch);
+  });
 }
 
-void FlowFabric::on_completion_event(FlowId id, std::uint64_t gen) {
-  auto it = flows_.find(id);
-  if (it == flows_.end() || it->second.gen != gen) return;  // stale event
+void FlowFabric::on_completion_event(FlowId id, std::uint64_t batch) {
+  if (batch != batch_) {  // superseded by a later recompute
+    ++stats_.completions_superseded;
+    return;
+  }
+  const std::size_t k = flow_index(id);
+  DPML_CHECK_MSG(k < flows_.size(), "armed fabric completion lost its flow");
   const sim::Time now = engine_.now();
   advance(now);
-  if (it->second.remaining > kDrainedBytes) {
+  if (flows_[k].remaining > kDrainedBytes) {
     // Rounding drift: the flow is not quite done — reschedule its tail.
     reschedule(now);
     return;
   }
-  Completion done = std::move(it->second.done);
-  flows_.erase(it);
+  Completion done = std::move(flows_[k].done);
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(k));
   recompute(now);
   reschedule(now);
   // Invoked last: the callback may start new flows, which re-enter the
   // allocator on consistent state.
   if (done) done(now);
+}
+
+std::size_t FlowFabric::flow_index(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& f, FlowId want) { return f.id < want; });
+  if (it == flows_.end() || it->id != id) return flows_.size();
+  return static_cast<std::size_t>(it - flows_.begin());
 }
 
 void FlowFabric::set_capacity_scaler(
@@ -515,9 +583,9 @@ void FlowFabric::finish(sim::Time now) {
 }
 
 double FlowFabric::flow_rate_gbps(FlowId id) const {
-  auto it = flows_.find(id);
-  DPML_CHECK_MSG(it != flows_.end(), "querying a completed fabric flow");
-  return it->second.rate / kGiga;
+  const std::size_t k = flow_index(id);
+  DPML_CHECK_MSG(k < flows_.size(), "querying a completed fabric flow");
+  return flows_[k].rate / kGiga;
 }
 
 double FlowFabric::link_avg_utilization(int id, sim::Time now) const {

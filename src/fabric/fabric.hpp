@@ -18,10 +18,16 @@
 // SHArP tree legs and perturbation-degraded links genuinely contend.
 //
 // Rates are recomputed on every flow arrival and departure (and at
-// perturbation rule boundaries); each recompute reschedules every flow's
-// completion event through a generation counter, since the engine has no
-// event cancellation. All state iterates in deterministic order (std::map
-// keyed by flow id, vectors of links), so runs are bitwise reproducible.
+// perturbation rule boundaries). Each recompute opens a new *batch*: it
+// derives every flow's completion eta and arms a single engine event for
+// the earliest one (first in flow-id order on ties). The engine has no event
+// cancellation, so an armed event whose batch has since been superseded is
+// discarded when it pops. Every valid fabric event re-batches all flows, so
+// only a batch's earliest completion could ever fire; arming just that one
+// keeps the engine's (t, seq) order exactly as if every flow had its own
+// event. Live flows sit in a flat vector in ascending id order and links in
+// a dense vector, so all state iterates deterministically and runs are
+// bitwise reproducible.
 //
 // Opt-in: a Machine builds a FlowFabric only when
 // RunOptions::fabric_level == FabricLevel::links; the default `none` leaves
@@ -31,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -69,6 +74,23 @@ struct FabricTopo {
   // oversubscription >= 1, positive bandwidths) and derives the link plan
   // for the first `nodes` nodes.
   static FabricTopo derive(const net::ClusterConfig& cfg, int nodes);
+};
+
+// Deterministic allocator counters (dpmlsim --perf, --perf-json): pure
+// functions of the simulated run, so they can gate tests exactly.
+struct FabricStats {
+  std::uint64_t recomputes = 0;        // max-min re-solves
+  std::uint64_t fill_rounds = 0;       // progressive-filling rounds, summed
+  std::uint64_t completions_armed = 0;       // completion events scheduled
+  std::uint64_t completions_superseded = 0;  // popped after a newer batch
+
+  FabricStats& operator+=(const FabricStats& o) {
+    recomputes += o.recomputes;
+    fill_rounds += o.fill_rounds;
+    completions_armed += o.completions_armed;
+    completions_superseded += o.completions_superseded;
+    return *this;
+  }
 };
 
 class FlowFabric {
@@ -109,8 +131,8 @@ class FlowFabric {
   // Mark one leaf's ECMP way — or, with leaf == kAllLeaves, core switch
   // `way` across every leaf — down or back up. Takes effect immediately:
   // live core-crossing flows are deterministically rerouted onto surviving
-  // ways (and rebalanced back on recovery) and rescheduled through the
-  // generation counter. Edge (node<->leaf) links never fail in this model.
+  // ways (and rebalanced back on recovery) and a new completion batch is
+  // armed. Edge (node<->leaf) links never fail in this model.
   static constexpr int kAllLeaves = -1;
   void set_way_down(int leaf, int way, bool down);
   bool way_down(int leaf, int way) const;
@@ -169,6 +191,7 @@ class FlowFabric {
   // end of a run.
   void finish(sim::Time now);
 
+  const FabricStats& stats() const { return stats_; }
   int active_flows() const { return static_cast<int>(flows_.size()); }
   std::uint64_t total_flows() const { return next_id_; }
   // Current fair-share rate of a live flow (tests).
@@ -189,7 +212,13 @@ class FlowFabric {
     double base_gbps = 0.0;  // configured capacity
     double cap = 0.0;        // scaled capacity, bytes/s (last recompute)
     double load = 0.0;       // sum of flow rates, bytes/s (last recompute)
-    int nflows = 0;
+    int nflows = 0;          // unfrozen flows while filling, then all
+    // This link's flows_ indices, in id order: members_[first, first+count)
+    // (last recompute; stale once the link goes idle).
+    std::size_t first = 0;
+    std::size_t count = 0;
+    bool dirty = false;      // load needs re-summing this filling round
+    double share = 0.0;      // (cap - load) / nflows while filling
     double busy_integral = 0.0;   // sum of utilization * dt (picoseconds)
     sim::Time cong_since = -1;    // open congestion interval, -1 when none
     sim::Time cong_time = 0;      // closed congested picoseconds
@@ -197,6 +226,7 @@ class FlowFabric {
   };
 
   struct Flow {
+    FlowId id = 0;
     int links[4] = {0, 0, 0, 0};
     int nlinks = 0;
     int src = -1;            // endpoints, kept for failure rerouting
@@ -205,7 +235,6 @@ class FlowFabric {
     double remaining = 0.0;  // bytes left on the wire
     double rate = 0.0;       // bytes/s
     double cap = 0.0;        // bytes/s rate ceiling
-    std::uint64_t gen = 0;   // completion-event generation (stale detection)
     Completion done;
   };
 
@@ -217,16 +246,29 @@ class FlowFabric {
   void advance(sim::Time now);
   // Progressive-filling max-min fair allocation over the live flows.
   void recompute(sim::Time now);
-  // Bump generations and schedule a completion event per flow.
+  // Open a new batch and arm one completion event for its earliest flow.
   void reschedule(sim::Time now);
-  void on_completion_event(FlowId id, std::uint64_t gen);
+  void on_completion_event(FlowId id, std::uint64_t batch);
+  // Index of the live flow `id` in flows_, or flows_.size() when absent.
+  std::size_t flow_index(FlowId id) const;
   double scaled_capacity(int link, sim::Time now) const;
 
   sim::Engine& engine_;
   FabricTopo topo_;
   std::vector<Link> links_;
-  std::map<FlowId, Flow> flows_;  // ordered: deterministic allocation
+  std::vector<Flow> flows_;  // live flows, ascending id: deterministic order
+  // Links carrying flows at the last recompute: the only ones with a load.
+  std::vector<int> active_;
+  // recompute scratch, reused across calls: per-link member ranges,
+  // unfrozen / just-frozen flows_ indices, links whose load to re-sum.
+  std::vector<int> open_;  // active links still carrying an unfrozen flow
+  std::vector<std::size_t> members_;
+  std::vector<std::size_t> unfrozen_;
+  std::vector<std::size_t> frozen_;
+  std::vector<int> dirty_;
   FlowId next_id_ = 0;
+  std::uint64_t batch_ = 0;  // current completion batch (stale detection)
+  FabricStats stats_;
   sim::Time last_ = 0;  // time up to which advance() has accounted
   double peak_util_ = 0.0;
   int down_links_ = 0;  // live count of down links (choose_way fast path)

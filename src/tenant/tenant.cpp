@@ -173,6 +173,7 @@ struct RunOut {
   double peak_link_util = 0.0;
   std::uint64_t flows = 0;
   std::uint64_t bg_flows = 0;
+  fabric::FabricStats fabric_stats;
   std::string hot_link;
   double hot_link_bg_share = 0.0;
   int shared_links = 0;
@@ -588,6 +589,7 @@ RunOut simulate(const net::ClusterConfig& cfg, int ppn,
     out.max_link_util = ff->max_avg_link_utilization(endt);
     out.peak_link_util = ff->peak_link_utilization();
     out.flows = ff->total_flows();
+    out.fabric_stats = ff->stats();
     out.bg_flows = bg ? bg->flows() : 0;
     if (shared) {
       int hot = 0;
@@ -803,6 +805,7 @@ TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
   res.peak_link_util = sh.peak_link_util;
   res.flows = sh.flows;
   res.bg_flows = sh.bg_flows;
+  res.fabric_stats = sh.fabric_stats;
   res.hot_link = sh.hot_link;
   res.hot_link_bg_share = sh.hot_link_bg_share;
   res.shared_links = sh.shared_links;

@@ -5,17 +5,23 @@
 // strict-checked matrix stays bit-correct under --fabric. Also locks the
 // calibration contract: at 1:1 the flow fabric tracks the LogGP transport
 // within a few percent, and a thinner core monotonically slows cross-leaf
-// allreduce.
+// allreduce. Completion scheduling is pinned twice: exact event and
+// allocator counts (one armed completion per recompute, events near the
+// LogGP twin's), and exact simulated times of runs on every scheduling path.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <ios>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/registry.hpp"
 #include "core/measure.hpp"
 #include "fabric/fabric.hpp"
 #include "net/cluster.hpp"
+#include "perturb/spec.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 
@@ -349,6 +355,146 @@ TEST(FabricMachineTest, ThinnerCoreMonotonicallySlowsAllreduce) {
   EXPECT_GT(lat[1], lat[0]);
   EXPECT_GE(lat[2], lat[1]);
   EXPECT_GT(lat[2], lat[0]);
+}
+
+// ---------------------------------------------------------------------------
+// Completion scheduling: one armed event per recompute, counted exactly.
+
+TEST(FabricSchedulingTest, EngineClockEndsAtLastCompletion) {
+  sim::Engine eng;
+  const auto cfg = net::test_cluster(4);
+  FlowFabric ff(eng, cfg, 4);
+  sim::Time x_done = -1;
+  sim::Time y_done = -1;
+  eng.schedule_call(0, [&]() {
+    // A large flow X and a small flow Y share node0.up at 6 GB/s each. Y
+    // (1200 B) leaves at 200 ns; X then drains its last 10800 B at the full
+    // 12 GB/s and finishes near 1100 ns — well before the 2000 ns its
+    // half-rate eta promised while Y was still running.
+    ff.start_flow(0, 1, 12000, cfg.nic.link_bw,
+                  [&](sim::Time t) { x_done = t; });
+    ff.start_flow(0, 1, 1200, cfg.nic.link_bw,
+                  [&](sim::Time t) { y_done = t; });
+  });
+  eng.run();
+  EXPECT_EQ(y_done, sim::Time{200} * sim::kNanosecond);
+  EXPECT_LE(std::abs(x_done - sim::Time{1100} * sim::kNanosecond), 1);
+  // No superseded completion outlives the last real one.
+  EXPECT_EQ(eng.now(), x_done);
+}
+
+TEST(FabricSchedulingTest, StatsCountRecomputesAndArmedCompletions) {
+  sim::Engine eng;
+  const auto cfg = net::test_cluster(4);
+  FlowFabric ff(eng, cfg, 4);
+  eng.schedule_call(0, [&]() {
+    ff.start_flow(0, 1, 12000, cfg.nic.link_bw, nullptr);
+    ff.start_flow(0, 1, 1200, cfg.nic.link_bw, nullptr);
+  });
+  eng.run();
+  const fabric::FabricStats& st = ff.stats();
+  // Two launches and two departures each re-solve once.
+  EXPECT_EQ(st.recomputes, 4u);
+  // Every re-solve with live flows arms exactly one completion; the
+  // launch-time batch of X alone is the only one superseded.
+  EXPECT_EQ(st.completions_armed, 3u);
+  EXPECT_EQ(st.completions_superseded, 1u);
+  // One filling round per non-empty re-solve: the flows share one level.
+  EXPECT_EQ(st.fill_rounds, 3u);
+  EXPECT_LE(st.completions_superseded, st.recomputes);
+}
+
+TEST(FabricScaleTest, EventsStayNearLogGP) {
+  // Event counts are exact, so this gates on every build: the fabric's
+  // completion scheduling must not multiply the LogGP event count.
+  core::MeasureOptions opt;
+  opt.iterations = 3;
+  opt.warmup = 1;
+  opt.data_mode = sim::DataMode::timeonly;
+  coll::CollSpec spec;
+  spec.algo = "dpml";
+  spec.leaders = 4;
+  const auto cfg = net::cluster_d();
+  const auto loggp = core::measure_collective(CollKind::allreduce, cfg, 32, 8,
+                                              65536, spec, opt);
+  opt.fabric = FabricLevel::links;
+  const auto flows = core::measure_collective(CollKind::allreduce, cfg, 32, 8,
+                                              65536, spec, opt);
+  EXPECT_LE(flows.events, 2 * loggp.events)
+      << "fabric " << flows.events << " vs LogGP " << loggp.events;
+  const fabric::FabricStats& st = flows.fabric_stats;
+  EXPECT_GT(st.recomputes, 0u);
+  EXPECT_LE(st.completions_superseded, st.recomputes);
+}
+
+// ---------------------------------------------------------------------------
+// Exact locks. Every value below is the precise simulated time (integer
+// picoseconds or a hex-float microsecond average) of a run that exercises one
+// scheduling path of the fabric: same-instant equal flows, time-windowed
+// link degradation (reallocation boundaries) and SHArP's single-leg flows.
+// Unlike the EXPECT_NEAR goldens elsewhere, a one-picosecond shift in any
+// completion fails here.
+
+TEST(FabricExactLockTest, EqualFlowsStartedTogetherFinishInIdOrder) {
+  sim::Engine eng;
+  const auto cfg = net::test_cluster(4);
+  FlowFabric ff(eng, cfg, 4);
+  std::vector<std::pair<FlowFabric::FlowId, sim::Time>> done;
+  eng.schedule_call(0, [&]() {
+    // Three equal 2400 B flows share node0.up (4 GB/s each, 600 ns); a
+    // fourth identical flow 2 -> 3 runs alone on disjoint links (200 ns).
+    for (int i = 0; i < 3; ++i) {
+      const FlowFabric::FlowId id = ff.total_flows();
+      ff.start_flow(0, 1, 2400, cfg.nic.link_bw,
+                    [&done, id](sim::Time t) { done.emplace_back(id, t); });
+    }
+    const FlowFabric::FlowId id = ff.total_flows();
+    ff.start_flow(2, 3, 2400, cfg.nic.link_bw,
+                  [&done, id](sim::Time t) { done.emplace_back(id, t); });
+  });
+  eng.run();
+  const std::vector<std::pair<FlowFabric::FlowId, sim::Time>> expect = {
+      {3, 200000}, {0, 600000}, {1, 600001}, {2, 600002}};
+  EXPECT_EQ(done, expect);
+  EXPECT_EQ(eng.now(), 600002);
+}
+
+TEST(FabricExactLockTest, WindowedLinkDegradationLatencyIsExact) {
+  // Two overlapping link-degradation windows, one fabric-wide and one on
+  // node 5's edge links: their from/until boundaries are reallocation
+  // points that re-divide bandwidth mid-flow, slowing some iterations.
+  core::MeasureOptions opt = fabric_opt(FabricLevel::links);
+  opt.iterations = 3;
+  opt.perturb = perturb::PerturbSpec::parse(
+      "link=bw=0.3,from_us=20,until_us=120;"
+      "link=bw=0.5,src=5,from_us=60,until_us=200");
+  coll::CollSpec spec;
+  spec.algo = "dpml";
+  spec.leaders = 4;
+  const auto r = core::measure_collective(CollKind::allreduce,
+                                          net::test_cluster(8), 8, 4, 65536,
+                                          spec, opt);
+  EXPECT_LT(r.best_us, r.worst_us);  // the windows hit some iterations only
+  EXPECT_EQ(r.avg_us, 0x1.4c538fd2ffa52p+6) << std::hexfloat << r.avg_us;
+  EXPECT_EQ(r.best_us, 0x1.46a23422467bep+6) << std::hexfloat << r.best_us;
+  EXPECT_EQ(r.worst_us, 0x1.57b6473471f79p+6) << std::hexfloat << r.worst_us;
+}
+
+TEST(FabricExactLockTest, SharpSocketLeaderLatencyIsExact) {
+  // SHArP uploads and multicast downloads are single-leg fabric flows.
+  core::MeasureOptions opt = fabric_opt(FabricLevel::links);
+  opt.iterations = 3;
+  coll::CollSpec spec;
+  spec.algo = "sharp-socket-leader";
+  const auto cfg = net::test_cluster(8);
+  const std::pair<std::size_t, double> locks[] = {
+      {256, 0x1.29d912556d19ep+2}, {4096, 0x1.9430a2ca9ac37p+4}};
+  for (const auto& [bytes, avg_us] : locks) {
+    const auto r = core::measure_collective(CollKind::allreduce, cfg, 8, 4,
+                                            bytes, spec, opt);
+    EXPECT_TRUE(r.fabric_links);
+    EXPECT_EQ(r.avg_us, avg_us) << bytes << " " << std::hexfloat << r.avg_us;
+  }
 }
 
 // ---------------------------------------------------------------------------

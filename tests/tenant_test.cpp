@@ -4,9 +4,11 @@
 // live flows, bit-identical tenant runs across reruns and --jobs widths,
 // spec-string parsing, shape validation, and — the tenancy-off contract —
 // golden single-job --fabric latencies that must not move when the tenant
-// subsystem is compiled in.
+// subsystem is compiled in, plus an exact lock of one failure, recovery and
+// adaptive re-planning shared run.
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <string>
 #include <vector>
 
@@ -365,6 +367,33 @@ TEST(TenantGoldenTest, SingleJobFabricLatenciesAreUnchanged) {
         g.nodes, g.ppn, g.bytes, spec, opt);
     EXPECT_NEAR(r.avg_us, g.avg_us, 1e-4)
         << g.cluster << " " << g.kind << "/" << g.algo;
+  }
+}
+
+// Exact lock of a shared run that touches every fabric scheduling path the
+// tenant layer drives: background flows, a core-switch failure with
+// recovery, a single-leaf way failure, and adaptive re-planning. Makespans
+// are hex floats so a one-picosecond shift in any completion fails.
+TEST(TenantGoldenTest, FailureRecoveryAdaptRunIsExact) {
+  const auto cfg = net::test_cluster(8);
+  tenant::TenantOptions opt;
+  opt.seed = 7;
+  opt.traffic = tenant::TrafficSpec::parse("uniform:load=0.4,seed=3");
+  opt.failures = tenant::FailSpec::parse(
+      "way=0,at_us=30,recover_us=150;way=1,leaf=0,at_us=60,recover_us=200");
+  opt.placement = tenant::Placement::round_robin;
+  opt.adapt = true;
+  opt.solo_baseline = false;
+  const tenant::TenantResult r =
+      tenant::run_tenants(cfg, 2, tenant::default_jobs(3, cfg, 8), opt);
+  EXPECT_EQ(r.makespan_us, 0x1.a804e71cda2b6p+9)
+      << std::hexfloat << r.makespan_us;
+  const double job_makespans[] = {0x1.9f36247021d11p+9, 0x1.8932b0a6fc58bp+5,
+                                  0x1.08a4d1c7de508p+7};
+  ASSERT_EQ(r.jobs.size(), 3u);
+  for (std::size_t i = 0; i < r.jobs.size(); ++i) {
+    EXPECT_EQ(r.jobs[i].makespan_us, job_makespans[i])
+        << i << " " << std::hexfloat << r.jobs[i].makespan_us;
   }
 }
 

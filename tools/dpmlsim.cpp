@@ -103,7 +103,10 @@ int usage() {
       "                never depend on this flag)\n"
       "              --perf  (print host-side perf counters per point:\n"
       "                simulated events/sec, peak live events, queue depth,\n"
-      "                peak RSS, pool hit rates, wall-ms per simulated-ms)\n"
+      "                peak RSS, pool hit rates, wall-ms per simulated-ms;\n"
+      "                under a flow fabric also its allocator counters:\n"
+      "                recomputes, filling rounds, completion events armed\n"
+      "                and superseded)\n"
       "              --perf-json FILE  (write the sweep's aggregate perf\n"
       "                counters as JSON, for trajectory diffs against the\n"
       "                checked-in BENCH_perf.json snapshot)\n"
@@ -217,6 +220,23 @@ int cmd_list_clusters() {
   return 0;
 }
 
+// The flow fabric's deterministic allocator counters (FlowFabric::stats()),
+// as a --perf line and as --perf-json fields.
+void print_fabric_stats(const fabric::FabricStats& s) {
+  std::cout << "[perf] fabric: " << s.recomputes << " recomputes, "
+            << s.fill_rounds << " filling rounds, " << s.completions_armed
+            << " completion events armed, " << s.completions_superseded
+            << " superseded\n";
+}
+
+void write_fabric_stats_json(std::ostream& os, const fabric::FabricStats& s) {
+  os << "  \"fabric_recomputes\": " << s.recomputes << ",\n"
+     << "  \"fabric_fill_rounds\": " << s.fill_rounds << ",\n"
+     << "  \"fabric_completions_armed\": " << s.completions_armed << ",\n"
+     << "  \"fabric_completions_superseded\": " << s.completions_superseded
+     << ",\n";
+}
+
 // Aggregate host-side perf counters across a sweep, serializable as the
 // JSON snapshot format diffed by CI (--perf-json, bench_patterns).
 struct PerfAgg {
@@ -235,6 +255,7 @@ struct PerfAgg {
   bool fabric = false;
   double max_link_util = 0.0;
   std::uint64_t fabric_flows = 0;
+  fabric::FabricStats fabric_stats;
 
   void add(const core::MeasureResult& r) {
     events += r.perf.events;
@@ -249,6 +270,7 @@ struct PerfAgg {
       fabric = true;
       max_link_util = std::max(max_link_util, r.max_link_util);
       fabric_flows += r.fabric_flows;
+      fabric_stats += r.fabric_stats;
     }
     ++rows;
   }
@@ -283,6 +305,7 @@ struct PerfAgg {
       os << "  \"fabric\": true,\n"
          << "  \"max_link_util\": " << max_link_util << ",\n"
          << "  \"fabric_flows\": " << fabric_flows << ",\n";
+      write_fabric_stats_json(os, fabric_stats);
     }
     os << "  \"wall_ms\": " << wall_ms << "\n"
        << "}\n";
@@ -425,6 +448,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
                 << " of payload";
     }
     std::cout << "\n";
+    if (agg.fabric) print_fabric_stats(agg.fabric_stats);
   }
   if (!perf_json.empty()) {
     if (!agg.write_json(perf_json, "dpmlsim latency")) {
@@ -804,6 +828,10 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
               << r.hot_link_bg_share << ")";
   }
   std::cout << ", " << r.shared_links << " link(s) shared by >1 job\n";
+  if (args.get_bool("perf", false) &&
+      opt.fabric == fabric::FabricLevel::links) {
+    print_fabric_stats(r.fabric_stats);
+  }
   if (!adapt_table_path.empty() && !r.adapt_table.empty()) {
     std::ofstream os(adapt_table_path);
     if (!os) {
@@ -834,8 +862,11 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
        << (opt.fabric == fabric::FabricLevel::links ? "true" : "false")
        << ",\n"
        << "  \"max_link_util\": " << r.max_link_util << ",\n"
-       << "  \"fabric_flows\": " << r.flows << ",\n"
-       << "  \"bg_flows\": " << r.bg_flows << "\n"
+       << "  \"fabric_flows\": " << r.flows << ",\n";
+    if (opt.fabric == fabric::FabricLevel::links) {
+      write_fabric_stats_json(os, r.fabric_stats);
+    }
+    os << "  \"bg_flows\": " << r.bg_flows << "\n"
        << "}\n";
     std::cout << "perf counters written to " << perf_json << "\n";
   }
