@@ -75,7 +75,9 @@ def cmd_delta(args):
               f"({change:+.1f}%) {mark}")
         for field in ("events", "peak_queue_depth", "peak_rss_kb",
                       "elided_bytes", "fabric_flows", "max_link_util",
-                      "fabric_recomputes", "fabric_completions_superseded"):
+                      "fabric_recomputes", "fabric_completions_superseded",
+                      "fabric_solved_flows", "fabric_live_flows",
+                      "fabric_closure_merges"):
             if field in new or field in old:
                 print(f"[perf-delta]   {field}: {old.get(field, '-')} -> "
                       f"{new.get(field, '-')}")

@@ -83,27 +83,30 @@ const CollDescriptor* CollRegistry::find(CollKind kind,
 const CollDescriptor& CollRegistry::at(CollKind kind,
                                        const std::string& name) const {
   const CollDescriptor* d = find(kind, name);
-  if (d == nullptr) {
-    std::ostringstream os;
-    os << "unknown " << coll_kind_name(kind) << " algorithm '" << name
-       << "'; registered:";
-    for (const std::string& n : names(kind)) os << " " << n;
-    // A kind/algorithm mix-up (e.g. --collective bcast --algorithm dpml) is
-    // far more common than a typo; say which kinds do register the name.
-    std::string others;
-    for (CollKind k : kAllCollKinds) {
-      if (k != kind && find(k, name) != nullptr) {
-        if (!others.empty()) others += ", ";
-        others += coll_kind_name(k);
-      }
-    }
-    if (!others.empty()) {
-      os << " ('" << name << "' is a registered algorithm of: " << others
-         << ")";
-    }
-    DPML_CHECK_MSG(false, os.str());
-  }
+  DPML_CHECK_MSG(d != nullptr, unknown_name_message(kind, name));
   return *d;
+}
+
+std::string CollRegistry::unknown_name_message(CollKind kind,
+                                               const std::string& name) const {
+  std::ostringstream os;
+  os << "unknown " << coll_kind_name(kind) << " algorithm '" << name
+     << "'; registered:";
+  for (const std::string& n : names(kind)) os << " " << n;
+  // A kind/algorithm mix-up (e.g. --collective bcast --algorithm dpml) is
+  // far more common than a typo; say which kinds do register the name.
+  std::string others;
+  for (CollKind k : kAllCollKinds) {
+    if (k != kind && find(k, name) != nullptr) {
+      if (!others.empty()) others += ", ";
+      others += coll_kind_name(k);
+    }
+  }
+  if (!others.empty()) {
+    os << " ('" << name << "' is a registered algorithm of: " << others
+       << ")";
+  }
+  return os.str();
 }
 
 std::vector<const CollDescriptor*> CollRegistry::list(CollKind kind) const {

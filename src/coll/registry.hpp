@@ -109,6 +109,9 @@ class CollRegistry {
   const CollDescriptor* find(CollKind kind, const std::string& name) const;
   // Throws util::InvariantError listing every registered name of `kind`.
   const CollDescriptor& at(CollKind kind, const std::string& name) const;
+  // The message at() throws for an unregistered (kind, name).
+  std::string unknown_name_message(CollKind kind,
+                                   const std::string& name) const;
 
   // Registration order (stable across runs: built-ins are anchored in a
   // fixed sequence).

@@ -18,16 +18,39 @@
 // SHArP tree legs and perturbation-degraded links genuinely contend.
 //
 // Rates are recomputed on every flow arrival and departure (and at
-// perturbation rule boundaries). Each recompute opens a new *batch*: it
-// derives every flow's completion eta and arms a single engine event for
-// the earliest one (first in flow-id order on ties). The engine has no event
-// cancellation, so an armed event whose batch has since been superseded is
-// discarded when it pops. Every valid fabric event re-batches all flows, so
-// only a batch's earliest completion could ever fire; arming just that one
-// keeps the engine's (t, seq) order exactly as if every flow had its own
-// event. Live flows sit in a flat vector in ascending id order and links in
-// a dense vector, so all state iterates deterministically and runs are
-// bitwise reproducible.
+// perturbation rule boundaries), but only over the *solve set*: the flows a
+// change can reach. Each link keeps its live flows in flow-id order (appended
+// on launch, erased on completion), and a breadth-first walk over those member
+// lists from the starting or finishing flow's links collects its
+// link-connected component. Max-min filling raises one water level across all
+// unfrozen flows and freezes everything within a relative window of it
+// (kRelEps), so two components whose levels lie inside that window couple: the
+// higher one freezes at the lower one's level, a few ulps below its own. A
+// flow that froze at a level its own component did not reach is *entangled*
+// with the component that set the level; the next solve touching either takes
+// both (an entanglement group). After solving, the set is *closed*: if a new
+// level of the set and an outside flow's stored level differ but lie within
+// each other's freeze window, that flow's component (and group) joins the set
+// and it is solved again. Every outside flow keeps its rate, its links their
+// load, and the result is bit-identical to re-solving every live flow. Way
+// failures and capacity-window boundaries solve all flows (the same code with
+// the set = everything); links outside the set keep their cached capacity,
+// which is exact because the capacity scaler is piecewise constant and its
+// boundary reallocations, scheduled at construction, pop first at their
+// instant. On a dense fabric, where one component holds most live flows, the
+// walk buys nothing: after a walk finds that, the next few recomputes take
+// every flow without walking, and since they record no couplings the solve
+// after them walks every flow again.
+//
+// Each recompute opens a new *batch*: it derives every flow's completion eta
+// and arms a single engine event for the earliest one (first in flow-id order
+// on ties). The engine has no event cancellation, so an armed event whose
+// batch has since been superseded is discarded when it pops. Every valid
+// fabric event re-batches all flows, so only a batch's earliest completion
+// could ever fire; arming just that one keeps the engine's (t, seq) order
+// exactly as if every flow had its own event. Live flows are listed in
+// ascending id order and links sit in a dense vector, so all state iterates
+// deterministically and runs are bitwise reproducible.
 //
 // Opt-in: a Machine builds a FlowFabric only when
 // RunOptions::fabric_level == FabricLevel::links; the default `none` leaves
@@ -83,12 +106,18 @@ struct FabricStats {
   std::uint64_t fill_rounds = 0;       // progressive-filling rounds, summed
   std::uint64_t completions_armed = 0;       // completion events scheduled
   std::uint64_t completions_superseded = 0;  // popped after a newer batch
+  std::uint64_t solved_flows = 0;  // flows re-solved, summed over solves
+  std::uint64_t live_flows = 0;    // live flows, summed over recomputes
+  std::uint64_t closure_merges = 0;  // components joined by the closure rule
 
   FabricStats& operator+=(const FabricStats& o) {
     recomputes += o.recomputes;
     fill_rounds += o.fill_rounds;
     completions_armed += o.completions_armed;
     completions_superseded += o.completions_superseded;
+    solved_flows += o.solved_flows;
+    live_flows += o.live_flows;
+    closure_merges += o.closure_merges;
     return *this;
   }
 };
@@ -192,7 +221,7 @@ class FlowFabric {
   void finish(sim::Time now);
 
   const FabricStats& stats() const { return stats_; }
-  int active_flows() const { return static_cast<int>(flows_.size()); }
+  int active_flows() const { return static_cast<int>(live_.size()); }
   std::uint64_t total_flows() const { return next_id_; }
   // Current fair-share rate of a live flow (tests).
   double flow_rate_gbps(FlowId id) const;
@@ -206,35 +235,43 @@ class FlowFabric {
   sim::Time link_congested_time(int id, sim::Time now) const;
 
  private:
+  using Slot = std::uint32_t;  // index into slots_
+
+  // Fields the solver touches on every visit come first, so a visit reads
+  // one cache line.
   struct Link {
-    std::string name;
+    // Live flows crossing this link, in ascending flow id: the order every
+    // load sum follows.
+    std::vector<Slot> members;
+    double share = 0.0;      // (cap - load) / nflows while filling
+    double load = 0.0;       // sum of flow rates, bytes/s (last solve)
+    double cap = 0.0;        // scaled capacity, bytes/s (last solve)
+    std::uint64_t mark = 0;  // epoch of the solve set holding it
+    int nflows = 0;          // unfrozen members while filling, then all
+    bool dirty = false;      // load needs re-summing this filling round
+    bool down = false;       // failed ECMP way (carries no flows)
+    int active_at = -1;      // position in active_, -1 while idle
     int node = -1;           // owning node for edge links, -1 for core
     double base_gbps = 0.0;  // configured capacity
-    double cap = 0.0;        // scaled capacity, bytes/s (last recompute)
-    double load = 0.0;       // sum of flow rates, bytes/s (last recompute)
-    int nflows = 0;          // unfrozen flows while filling, then all
-    // This link's flows_ indices, in id order: members_[first, first+count)
-    // (last recompute; stale once the link goes idle).
-    std::size_t first = 0;
-    std::size_t count = 0;
-    bool dirty = false;      // load needs re-summing this filling round
-    double share = 0.0;      // (cap - load) / nflows while filling
     double busy_integral = 0.0;   // sum of utilization * dt (picoseconds)
     sim::Time cong_since = -1;    // open congestion interval, -1 when none
     sim::Time cong_time = 0;      // closed congested picoseconds
-    bool down = false;            // failed ECMP way (carries no flows)
+    std::string name;
   };
 
   struct Flow {
     FlowId id = 0;
+    std::uint64_t mark = 0;  // epoch of the solve set holding it
     int links[4] = {0, 0, 0, 0};
     int nlinks = 0;
+    int comp = -1;             // its component within that set
+    std::uint32_t tangle = 0;  // entanglement group + 1, 0 when solo
+    double rate = 0.0;       // bytes/s: the level it froze at
+    double cap = 0.0;        // bytes/s rate ceiling
+    double remaining = 0.0;  // bytes left on the wire
     int src = -1;            // endpoints, kept for failure rerouting
     int dst = -1;
     int group = 0;           // tenant attribution class
-    double remaining = 0.0;  // bytes left on the wire
-    double rate = 0.0;       // bytes/s
-    double cap = 0.0;        // bytes/s rate ceiling
     Completion done;
   };
 
@@ -244,27 +281,75 @@ class FlowFabric {
                 int group);
   // Drain bytes and accumulate link statistics over [last_, now].
   void advance(sim::Time now);
-  // Progressive-filling max-min fair allocation over the live flows.
+  // Insert / erase a flow in its links' member lists, keeping id order.
+  void attach(Slot s);
+  void detach(Slot s);
+  // Solve-set collection. begin_set opens an empty set; collect adds the
+  // component reachable from a link and every entanglement group it meets;
+  // collect_all walks every flow and link; collect_everything takes every
+  // flow unwalked (plus the changed flow's links). collect_change picks one
+  // of them for a flow that just started or just left.
+  void begin_set();
+  void collect_change(const Flow& f);
+  void collect(int link);
+  void collect_all();
+  void collect_everything(const int* links, int nlinks);
+  void walk(int link);
+  void pull(std::uint32_t group);
+  // Re-solve the collected set, close it, regroup and settle its links.
   void recompute(sim::Time now);
+  // Progressive-filling max-min fair allocation over the solve set.
+  void fill(sim::Time now);
+  // Closure rule: add outside components whose stored levels lie within a
+  // freeze window of a new level. True when the set grew.
+  bool absorb_couplings();
+  // Replace the set's entanglement groups with the last fill's couplings.
+  void regroup();
+  // Conservation, peak utilization, congestion and the active-link list over
+  // the set's links.
+  void settle(sim::Time now);
+  int comp_root(int c);
   // Open a new batch and arm one completion event for its earliest flow.
   void reschedule(sim::Time now);
   void on_completion_event(FlowId id, std::uint64_t batch);
-  // Index of the live flow `id` in flows_, or flows_.size() when absent.
+  // Position of the live flow `id` in live_, or live_.size() when absent.
   std::size_t flow_index(FlowId id) const;
   double scaled_capacity(int link, sim::Time now) const;
 
   sim::Engine& engine_;
   FabricTopo topo_;
   std::vector<Link> links_;
-  std::vector<Flow> flows_;  // live flows, ascending id: deterministic order
-  // Links carrying flows at the last recompute: the only ones with a load.
-  std::vector<int> active_;
-  // recompute scratch, reused across calls: per-link member ranges,
-  // unfrozen / just-frozen flows_ indices, links whose load to re-sum.
-  std::vector<int> open_;  // active links still carrying an unfrozen flow
-  std::vector<std::size_t> members_;
-  std::vector<std::size_t> unfrozen_;
-  std::vector<std::size_t> frozen_;
+  std::vector<Flow> slots_;       // flow storage; slots are reused
+  std::vector<Slot> free_slots_;
+  std::vector<Slot> live_;        // live flows, ascending id
+  std::vector<int> active_;       // links carrying flows, any order
+  // Entanglement groups: the slots of flows to solve together next time.
+  std::vector<std::vector<Slot>> groups_;
+  std::vector<std::uint32_t> free_groups_;
+  // Solve-set scratch, reused across calls.
+  std::uint64_t epoch_ = 0;
+  int ncomp_ = 0;
+  // Whether the set was collected by walking; after an unwalked solve no
+  // component or coupling is known, so the next solve walks every flow.
+  bool walked_ = true;
+  std::size_t largest_comp_ = 0;  // flows in its largest component
+  int dense_left_ = 0;  // dense mode: unwalked solves left before walking
+  std::vector<Slot> set_flows_;
+  std::vector<int> set_links_;
+  std::vector<Slot> pending_;              // entangled flows still to walk
+  std::vector<std::uint32_t> pulled_;      // groups the set took in
+  std::vector<std::uint64_t> group_mark_;  // epoch that pulled each group
+  std::vector<double> levels_;             // the set's sorted freeze levels
+  std::vector<std::uint32_t> comp_hit_;    // last round it reached the level
+  std::vector<int> suspects_;  // components that froze off their own level
+  std::vector<int> comp_parent_;           // coupling union-find
+  std::vector<int> comp_size_;
+  std::vector<std::uint32_t> comp_group_;
+  bool coupled_ = false;                   // the last fill coupled components
+  std::vector<int> closed_;  // set links whose congestion interval closed
+  std::vector<int> open_;  // set links still carrying an unfrozen flow
+  std::vector<Slot> unfrozen_;
+  std::vector<Slot> frozen_;
   std::vector<int> dirty_;
   FlowId next_id_ = 0;
   std::uint64_t batch_ = 0;  // current completion batch (stale detection)

@@ -57,6 +57,19 @@ bool Args::get_bool(const std::string& key, bool def) const {
   return v == "true" || v == "1" || v == "yes" || v == "on";
 }
 
+std::string Args::get_file(const std::string& key) const {
+  if (!has(key)) return "";
+  const std::string v = get(key);
+  for (const char* flag : {"", "true", "false", "1", "0", "yes", "no", "on",
+                           "off"}) {
+    if (v == flag) {
+      throw InvariantError("--" + key + " takes a FILE argument, got " +
+                           (v.empty() ? std::string("nothing") : "'" + v + "'"));
+    }
+  }
+  return v;
+}
+
 std::size_t Args::parse_bytes(const std::string& text) {
   DPML_CHECK_MSG(!text.empty(), "empty size");
   std::size_t mult = 1;

@@ -23,6 +23,10 @@ class Args {
   long long get_int(const std::string& key, long long def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def = false) const;
+  // A flag naming a file: "" when absent. Throws util::InvariantError
+  // naming the flag when it is present without a usable name — a bare
+  // "--key" parses as the boolean "true", which must not become a file.
+  std::string get_file(const std::string& key) const;
 
   // Parse a byte size with optional K/M/G suffix ("64K" -> 65536).
   static std::size_t parse_bytes(const std::string& text);

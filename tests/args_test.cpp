@@ -45,6 +45,25 @@ TEST(Args, TypedGetters) {
   EXPECT_DOUBLE_EQ(a.get_double("absent", 1.25), 1.25);
 }
 
+TEST(Args, FileFlagsNeedAName) {
+  auto a = make({"prog", "--out", "x.json", "--bare", "--eq=", "--no",
+                 "false", "--last"});
+  EXPECT_EQ(a.get_file("out"), "x.json");
+  EXPECT_EQ(a.get_file("absent"), "");
+  // A bare flag parses as the boolean "true"; neither it, an empty value nor
+  // another boolean spelling may become a file name.
+  for (const char* key : {"bare", "eq", "no", "last"}) {
+    try {
+      (void)a.get_file(key);
+      ADD_FAILURE() << "--" << key << " accepted";
+    } catch (const InvariantError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(std::string("--") + key + " takes a FILE", 0), 0u)
+          << what;
+    }
+  }
+}
+
 TEST(Args, ParseBytes) {
   EXPECT_EQ(Args::parse_bytes("17"), 17u);
   EXPECT_EQ(Args::parse_bytes("4K"), 4096u);

@@ -1,0 +1,139 @@
+// dpmlsim's input validation, driven through the real binary: a bad flag
+// fails before any simulation starts, with an error that names the flag
+// rather than a source file and line.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <array>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <utility>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+struct CliRun {
+  int status = -1;     // exit status, -1 when killed by a signal
+  std::string output;  // stdout and stderr, interleaved
+};
+
+CliRun run_dpmlsim(const fs::path& dir, const std::string& args) {
+  const std::string cmd = "cd '" + dir.string() + "' && '" DPMLSIM_PATH "' " +
+                          args + " 2>&1";
+  CliRun r;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return r;
+  std::array<char, 4096> buf{};
+  std::size_t n = 0;
+  while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0) {
+    r.output.append(buf.data(), n);
+  }
+  const int rc = pclose(pipe);
+  r.status = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  return r;
+}
+
+// Each test runs dpmlsim in its own empty directory, so a stray output file
+// (such as one named "true") is visible.
+class DpmlsimCliTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("dpmlsim_cli_" + std::to_string(getpid()) + "_" + info->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path dir_;
+};
+
+constexpr const char* kLatency =
+    "latency --cluster test --nodes 2 --ppn 2 --sizes 64:64 ";
+constexpr const char* kTenants =
+    "--cluster test --nodes 4 --ppn 2 --fabric --tenants 2 ";
+
+TEST_F(DpmlsimCliTest, PerfJsonWithoutAFileIsRejectedBeforeTheRun) {
+  const std::string cases[] = {
+      std::string(kLatency) + "--perf-json",
+      std::string(kLatency) + "--perf-json --time-only",
+      std::string(kLatency) + "--perf-json=",
+      std::string(kLatency) + "--perf-json=true",
+      std::string(kTenants) + "--perf-json",
+      std::string(kTenants) + "--perf-json --time-only",
+  };
+  for (const std::string& args : cases) {
+    const CliRun r = run_dpmlsim(dir_, args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("--perf-json takes a FILE"), std::string::npos)
+        << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    // Nothing ran (no result table) and nothing was written.
+    EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("shared run"), std::string::npos) << r.output;
+    EXPECT_TRUE(fs::is_empty(dir_)) << args;
+  }
+}
+
+TEST_F(DpmlsimCliTest, PerfJsonWithAFileIsWritten) {
+  const CliRun a =
+      run_dpmlsim(dir_, std::string(kLatency) + "--perf-json lat.json");
+  EXPECT_EQ(a.status, 0) << a.output;
+  EXPECT_TRUE(fs::exists(dir_ / "lat.json"));
+  const CliRun b =
+      run_dpmlsim(dir_, std::string(kTenants) + "--perf-json ten.json");
+  EXPECT_EQ(b.status, 0) << b.output;
+  EXPECT_TRUE(fs::exists(dir_ / "ten.json"));
+}
+
+TEST_F(DpmlsimCliTest, OtherFileFlagsWithoutAFileAreRejected) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"tune --cluster test --nodes 2 --ppn 2 --sizes 64:64 --out", "--out"},
+      {std::string(kLatency) + "--table", "--table"},
+      {"replay --cluster test --nodes 2 --ppn 2 --trace", "--trace"},
+      {"--mc-replay", "--mc-replay"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const CliRun r = run_dpmlsim(dir_, args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find(flag + " takes a FILE"), std::string::npos)
+        << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("selection table written"), std::string::npos)
+        << r.output;
+    EXPECT_TRUE(fs::is_empty(dir_)) << args;
+  }
+}
+
+TEST_F(DpmlsimCliTest, UnknownAlgoNamesTheFlagAndTheRegisteredDesigns) {
+  const std::string cases[] = {
+      std::string(kLatency) + "--algo nosuch",
+      std::string(kLatency) + "--collective bcast --algo nosuch",
+      "hpcg --cluster test --nodes 2 --ppn 2 --algo nosuch",
+  };
+  for (const std::string& args : cases) {
+    const CliRun r = run_dpmlsim(dir_, args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("--algo: unknown "), std::string::npos)
+        << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("algorithm 'nosuch'; registered:"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find(" binomial"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+  }
+  // A name registered under another kind says which kinds have it.
+  const CliRun r = run_dpmlsim(
+      dir_, std::string(kLatency) + "--collective bcast --algo dpml-auto");
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("is a registered algorithm of: allreduce"),
+            std::string::npos)
+      << r.output;
+}
+
+}  // namespace

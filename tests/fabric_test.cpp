@@ -10,9 +10,14 @@
 // LogGP twin's), and exact simulated times of runs on every scheduling path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <ios>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -425,6 +430,10 @@ TEST(FabricScaleTest, EventsStayNearLogGP) {
   const fabric::FabricStats& st = flows.fabric_stats;
   EXPECT_GT(st.recomputes, 0u);
   EXPECT_LE(st.completions_superseded, st.recomputes);
+  // Each recompute re-solves only the flows its change can reach: here the
+  // largest link-connected component averages 7 of ~31 live flows.
+  EXPECT_LE(3 * st.solved_flows, st.live_flows)
+      << "re-solved " << st.solved_flows << " of " << st.live_flows;
 }
 
 // ---------------------------------------------------------------------------
@@ -495,6 +504,567 @@ TEST(FabricExactLockTest, SharpSocketLeaderLatencyIsExact) {
     EXPECT_TRUE(r.fabric_links);
     EXPECT_EQ(r.avg_us, avg_us) << bytes << " " << std::hexfloat << r.avg_us;
   }
+}
+
+TEST(FabricExactLockTest, LinkLoadsSumInFlowIdOrder) {
+  // Three capped flows freeze one by one on a shared link and the free flow
+  // takes what their load sum leaves. The caps are chosen so that the sum is
+  // order-sensitive in the last ulp: ((a + b) + c) in flow-id order differs
+  // from both the reversed and the rotated order, so these rates lock the
+  // per-link summation order.
+  const double caps[] = {2.4670264406, 2.9187905592, 3.1217355491};
+  {
+    // All four flows share node0.up and node1.down.
+    sim::Engine eng;
+    const auto cfg = net::test_cluster(4);
+    FlowFabric ff(eng, cfg, 4);
+    std::vector<sim::Time> done(4, -1);
+    double free_rate = 0.0;
+    eng.schedule_call(0, [&]() {
+      for (int i = 0; i < 3; ++i) {
+        ff.start_flow(0, 1, 1 << 20, caps[i],
+                      [&done, i](sim::Time t) { done[i] = t; });
+      }
+      const auto f = ff.start_flow(0, 1, 1 << 20, cfg.nic.link_bw,
+                                   [&done](sim::Time t) { done[3] = t; });
+      free_rate = ff.flow_rate_gbps(f);
+    });
+    eng.run();
+    EXPECT_EQ(free_rate, 0x1.bf0884a0bc8dp+1) << std::hexfloat << free_rate;
+    const std::vector<sim::Time> expect = {425036385, 359250169, 335895205,
+                                           300241025};
+    EXPECT_EQ(done, expect);
+  }
+  {
+    // Cross-leaf over two 12 GB/s ways per leaf. Flow 0 hashes to way 1 and
+    // flows 1-3 to way 0; failing leaf 0's way 1 reroutes flow 0 onto way 0,
+    // where it must take its id-order place ahead of the flows already there.
+    sim::Engine eng;
+    auto cfg = net::test_cluster(8);
+    cfg.oversubscription = 2.0;
+    FlowFabric ff(eng, cfg, 8);
+    ASSERT_EQ(ff.topo().ecmp_ways, 2);
+    ASSERT_EQ(FlowFabric::ecmp_way(0, 4, 2), 1);
+    ASSERT_EQ(FlowFabric::ecmp_way(1, 5, 2), 0);
+    ASSERT_EQ(FlowFabric::ecmp_way(2, 7, 2), 0);
+    ASSERT_EQ(FlowFabric::ecmp_way(3, 4, 2), 0);
+    std::vector<sim::Time> done(4, -1);
+    FlowFabric::FlowId free_id = 0;
+    double free_rate = 0.0;
+    eng.schedule_call(0, [&]() {
+      const int pairs[3][2] = {{0, 4}, {1, 5}, {2, 7}};
+      for (int i = 0; i < 3; ++i) {
+        ff.start_flow(pairs[i][0], pairs[i][1], 1 << 20, caps[i],
+                      [&done, i](sim::Time t) { done[i] = t; });
+      }
+      free_id = ff.start_flow(3, 4, 1 << 20, cfg.nic.link_bw,
+                              [&done](sim::Time t) { done[3] = t; });
+    });
+    eng.schedule_call(sim::kNanosecond, [&]() {
+      ff.set_way_down(0, 1, true);
+      free_rate = ff.flow_rate_gbps(free_id);
+    });
+    eng.run();
+    EXPECT_EQ(free_rate, 0x1.bf0884a0bc8dp+1) << std::hexfloat << free_rate;
+    const std::vector<sim::Time> expect = {425036385, 359250169, 335895205,
+                                           300240318};
+    EXPECT_EQ(done, expect);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental re-solve: every recompute solves only the flows its change can
+// reach, and must equal re-solving every live flow from scratch, bit for bit.
+
+// Test-local reference: re-solves every live flow on each change with the
+// fabric's freeze rule (window level * (1 + 1e-9) + 1 B/s) and per-link loads
+// summed over frozen flows in flow-id order, and mirrors its completion
+// batches (one armed event per recompute for the earliest eta, lowest id on
+// ties; a flow within 1e-6 B of empty is done).
+class ReferenceFabric {
+ public:
+  using Scale = std::function<double(int, sim::Time)>;
+  using Done = std::function<void(sim::Time)>;
+
+  ReferenceFabric(sim::Engine& eng, const FlowFabric& layout, Scale scale)
+      : eng_(eng),
+        layout_(layout),
+        scale_(std::move(scale)),
+        down_(static_cast<std::size_t>(layout.num_links()), false) {}
+  // Engine callbacks hold `this`.
+  ReferenceFabric(const ReferenceFabric&) = delete;
+  ReferenceFabric& operator=(const ReferenceFabric&) = delete;
+
+  void start_flow(FlowFabric::FlowId id, int src, int dst, std::uint64_t bytes,
+                  double cap_gbps, Done done) {
+    const int sl = src / layout_.topo().nodes_per_leaf;
+    const int dl = dst / layout_.topo().nodes_per_leaf;
+    std::vector<int> path{layout_.uplink(src)};
+    if (sl != dl) {
+      const int w = way(src, dst);
+      path.push_back(layout_.leaf_uplink(sl, w));
+      path.push_back(layout_.leaf_downlink(dl, w));
+    }
+    path.push_back(layout_.downlink(dst));
+    add(id, std::move(path), src, dst, bytes, cap_gbps, std::move(done));
+  }
+  void start_leg(FlowFabric::FlowId id, int link, std::uint64_t bytes,
+                 double cap_gbps, Done done) {
+    add(id, {link}, -1, -1, bytes, cap_gbps, std::move(done));
+  }
+
+  void set_way_down(int leaf, int way_index, bool down) {
+    const sim::Time now = eng_.now();
+    advance(now);
+    const int lo = leaf < 0 ? 0 : leaf;
+    const int hi = leaf < 0 ? layout_.topo().leaves - 1 : leaf;
+    for (int l = lo; l <= hi; ++l) {
+      down_[static_cast<std::size_t>(layout_.leaf_uplink(l, way_index))] =
+          down;
+      down_[static_cast<std::size_t>(layout_.leaf_downlink(l, way_index))] =
+          down;
+    }
+    const int npl = layout_.topo().nodes_per_leaf;
+    for (Flow& f : flows_) {
+      if (f.links.size() != 4) continue;
+      const int w = way(f.src, f.dst);
+      f.links[1] = layout_.leaf_uplink(f.src / npl, w);
+      f.links[2] = layout_.leaf_downlink(f.dst / npl, w);
+    }
+    solve(now);
+    reschedule(now);
+  }
+
+  void schedule_reallocations(const std::vector<sim::Time>& times) {
+    for (sim::Time t : times) {
+      eng_.schedule_call(t, [this]() {
+        const sim::Time now = eng_.now();
+        advance(now);
+        solve(now);
+        reschedule(now);
+      });
+    }
+  }
+
+  double flow_rate_gbps(FlowFabric::FlowId id) const {
+    const auto it = std::lower_bound(
+        flows_.begin(), flows_.end(), id,
+        [](const Flow& f, FlowFabric::FlowId want) { return f.id < want; });
+    if (it == flows_.end() || it->id != id) {
+      ADD_FAILURE() << "reference has no flow " << id;
+      return 0.0;
+    }
+    return it->rate / 1e9;
+  }
+
+ private:
+  struct Flow {
+    FlowFabric::FlowId id = 0;
+    std::vector<int> links;
+    int src = -1;
+    int dst = -1;
+    double remaining = 0.0;
+    double rate = 0.0;
+    double cap = 0.0;
+    Done done;
+  };
+
+  int way(int src, int dst) const {
+    const int ways = layout_.topo().ecmp_ways;
+    const int npl = layout_.topo().nodes_per_leaf;
+    const int start = FlowFabric::ecmp_way(src, dst, ways);
+    for (int k = 0; k < ways; ++k) {
+      const int w = (start + k) % ways;
+      if (!down_[static_cast<std::size_t>(layout_.leaf_uplink(src / npl, w))] &&
+          !down_[static_cast<std::size_t>(
+              layout_.leaf_downlink(dst / npl, w))]) {
+        return w;
+      }
+    }
+    ADD_FAILURE() << "no live way";
+    return start;
+  }
+
+  void add(FlowFabric::FlowId id, std::vector<int> links, int src, int dst,
+           std::uint64_t bytes, double cap_gbps, Done done) {
+    const sim::Time now = eng_.now();
+    advance(now);
+    Flow f;
+    f.id = id;
+    f.links = std::move(links);
+    f.src = src;
+    f.dst = dst;
+    f.remaining = static_cast<double>(bytes);
+    f.cap = cap_gbps * 1e9;
+    f.done = std::move(done);
+    flows_.push_back(std::move(f));
+    solve(now);
+    reschedule(now);
+  }
+
+  void advance(sim::Time now) {
+    const sim::Time dt = now - last_;
+    if (dt == 0) return;
+    const double dt_s = sim::to_seconds(dt);
+    for (Flow& f : flows_) f.remaining -= std::min(f.remaining, f.rate * dt_s);
+    last_ = now;
+  }
+
+  // Textbook progressive filling over every live flow, no caching: each
+  // round recomputes every loaded link's share from its frozen flows'
+  // rates, summed in flow-id order.
+  void solve(sim::Time now) {
+    const std::size_t nl = static_cast<std::size_t>(layout_.num_links());
+    std::vector<std::vector<std::size_t>> on(nl);  // flows_ indices, id order
+    for (std::size_t k = 0; k < flows_.size(); ++k) {
+      flows_[k].rate = -1.0;
+      for (int l : flows_[k].links) on[static_cast<std::size_t>(l)].push_back(k);
+    }
+    std::vector<double> share(nl, std::numeric_limits<double>::infinity());
+    std::vector<std::size_t> now_frozen;
+    std::size_t left = flows_.size();
+    while (left > 0) {
+      double level = std::numeric_limits<double>::infinity();
+      for (std::size_t l = 0; l < nl; ++l) {
+        double load = 0.0;
+        int unfrozen = 0;
+        for (std::size_t k : on[l]) {
+          if (flows_[k].rate >= 0.0) {
+            load += flows_[k].rate;
+          } else {
+            ++unfrozen;
+          }
+        }
+        if (unfrozen == 0) continue;
+        const double s = std::max(scale_(static_cast<int>(l), now), 1e-6);
+        const double cap =
+            layout_.link_capacity_gbps(static_cast<int>(l)) * 1e9 * s;
+        share[l] = (cap - load) / unfrozen;
+        level = std::min(level, share[l]);
+      }
+      for (const Flow& f : flows_) {
+        if (f.rate < 0.0) level = std::min(level, f.cap);
+      }
+      const double freeze_at = level * (1.0 + 1e-9) + 1.0;
+      now_frozen.clear();
+      for (std::size_t k = 0; k < flows_.size(); ++k) {
+        if (flows_[k].rate >= 0.0) continue;
+        bool hit = flows_[k].cap <= freeze_at;
+        for (int l : flows_[k].links) {
+          hit = hit || share[static_cast<std::size_t>(l)] <= freeze_at;
+        }
+        if (hit) now_frozen.push_back(k);
+      }
+      for (std::size_t k : now_frozen) {
+        flows_[k].rate = std::min(level, flows_[k].cap);
+      }
+      left -= now_frozen.size();
+    }
+  }
+
+  void reschedule(sim::Time now) {
+    ++batch_;
+    const Flow* next = nullptr;
+    sim::Time next_eta = 0;
+    for (const Flow& f : flows_) {
+      const sim::Time eta =
+          now + std::max<sim::Time>(
+                    1, static_cast<sim::Time>(
+                           std::ceil(f.remaining / f.rate *
+                                     static_cast<double>(sim::kSecond))));
+      if (next == nullptr || eta < next_eta) {
+        next = &f;
+        next_eta = eta;
+      }
+    }
+    if (next == nullptr) return;
+    eng_.schedule_call(next_eta, [this, id = next->id, batch = batch_]() {
+      on_event(id, batch);
+    });
+  }
+
+  void on_event(FlowFabric::FlowId id, std::uint64_t batch) {
+    if (batch != batch_) return;
+    const sim::Time now = eng_.now();
+    advance(now);
+    auto it = std::find_if(flows_.begin(), flows_.end(),
+                           [id](const Flow& f) { return f.id == id; });
+    ASSERT_NE(it, flows_.end());
+    if (it->remaining > 1e-6) {
+      reschedule(now);
+      return;
+    }
+    Done done = std::move(it->done);
+    flows_.erase(it);
+    solve(now);
+    reschedule(now);
+    if (done) done(now);
+  }
+
+  sim::Engine& eng_;
+  const FlowFabric& layout_;
+  Scale scale_;
+  std::vector<bool> down_;
+  std::vector<Flow> flows_;  // ascending id
+  std::uint64_t batch_ = 0;
+  sim::Time last_ = 0;
+};
+
+// One observation of a fabric: after an operation or a completion, every
+// live flow's rate.
+struct RateSnapshot {
+  FlowFabric::FlowId finished = 0;  // the completed flow, or ~0 for an op
+  sim::Time at = 0;
+  std::vector<std::pair<FlowFabric::FlowId, double>> rates;
+
+  bool operator==(const RateSnapshot&) const = default;
+};
+
+// A FlowFabric and the reference on one engine, driven by the same
+// operations. Every live flow's rate is compared bitwise after each
+// operation (check) and at each completion, and the completions themselves
+// (flow, picosecond) must match.
+class Differential {
+ public:
+  // `scale` (with its window `bounds`) scales link capacities in both.
+  Differential(const net::ClusterConfig& cfg, int nodes,
+               ReferenceFabric::Scale scale = nullptr,
+               const std::vector<sim::Time>& bounds = {})
+      : ff_(eng, cfg, nodes),
+        ref_(eng, ff_,
+             scale ? scale : [](int, sim::Time) { return 1.0; }) {
+    if (scale) {
+      ff_.set_capacity_scaler(scale);
+      ff_.schedule_reallocations(bounds);
+      ref_.schedule_reallocations(bounds);
+    }
+  }
+
+  // Engine callbacks hold `this`.
+  Differential(const Differential&) = delete;
+  Differential& operator=(const Differential&) = delete;
+
+  FlowFabric& fabric() { return ff_; }
+
+  // Operations at the engine's current time.
+  FlowFabric::FlowId start_flow(int src, int dst, std::uint64_t bytes,
+                                double cap) {
+    const FlowFabric::FlowId id = open(id_of_next());
+    ff_.start_flow(src, dst, bytes, cap, finisher(false, id));
+    ref_.start_flow(id, src, dst, bytes, cap, finisher(true, id));
+    return id;
+  }
+  void start_leg(bool up, int node, std::uint64_t bytes, double cap) {
+    const FlowFabric::FlowId id = open(id_of_next());
+    if (up) {
+      ff_.start_uplink_flow(node, bytes, cap, finisher(false, id));
+    } else {
+      ff_.start_downlink_flow(node, bytes, cap, finisher(false, id));
+    }
+    ref_.start_leg(id, up ? ff_.uplink(node) : ff_.downlink(node), bytes, cap,
+                   finisher(true, id));
+  }
+  // Flip one leaf's way (every leaf's when leaf < 0).
+  void toggle_way(int leaf, int way) {
+    const bool down = !ff_.way_down(leaf < 0 ? 0 : leaf, way);
+    ff_.set_way_down(leaf, way, down);
+    ref_.set_way_down(leaf, way, down);
+  }
+  void check(const std::string& what) {
+    EXPECT_EQ(snapshot(false, ~0ULL), snapshot(true, ~0ULL))
+        << what << " at " << eng.now();
+  }
+
+  // Runs to the end; every flow must have completed identically in both.
+  void run_and_verify() {
+    eng.run();
+    EXPECT_TRUE(live_[0].empty());
+    EXPECT_EQ(ff_.active_flows(), 0);
+    EXPECT_EQ(seen_[0].size(), ff_.total_flows());
+    EXPECT_EQ(seen_[0].size(), seen_[1].size());
+    for (std::size_t i = 0; i < std::min(seen_[0].size(), seen_[1].size());
+         ++i) {
+      const RateSnapshot& got = seen_[0][i];
+      const RateSnapshot& want = seen_[1][i];
+      if (got == want) continue;
+      ADD_FAILURE() << "completion " << i << ": fabric flow " << got.finished
+                    << " at " << got.at << ", reference flow "
+                    << want.finished << " at " << want.at;
+      break;
+    }
+  }
+
+  sim::Engine eng;
+
+ private:
+  FlowFabric::FlowId id_of_next() const { return ff_.total_flows(); }
+  FlowFabric::FlowId open(FlowFabric::FlowId id) {
+    live_[0].push_back(id);
+    live_[1].push_back(id);
+    return id;
+  }
+  double rate(bool reference, FlowFabric::FlowId id) const {
+    return reference ? ref_.flow_rate_gbps(id) : ff_.flow_rate_gbps(id);
+  }
+  RateSnapshot snapshot(bool reference, FlowFabric::FlowId finished) const {
+    RateSnapshot s{finished, eng.now(), {}};
+    for (FlowFabric::FlowId id : live_[reference ? 1 : 0]) {
+      s.rates.emplace_back(id, rate(reference, id));
+    }
+    return s;
+  }
+  std::function<void(sim::Time)> finisher(bool reference,
+                                          FlowFabric::FlowId id) {
+    return [this, reference, id](sim::Time) {
+      auto& live = live_[reference ? 1 : 0];
+      live.erase(std::find(live.begin(), live.end(), id));
+      seen_[reference ? 1 : 0].push_back(snapshot(reference, id));
+    };
+  }
+
+  FlowFabric ff_;
+  ReferenceFabric ref_;
+  std::vector<FlowFabric::FlowId> live_[2];  // [fabric, reference]
+  std::vector<RateSnapshot> seen_[2];
+};
+
+// Drives the differential through a seeded script of flow starts (two- and
+// four-link flows, single-leg legs and bursts of long flows), way failures
+// and recoveries, and two overlapping capacity windows. Rate caps and
+// capacity scales sit within a few 1e-10 of each other and of the links'
+// shares, so separate components land inside each other's freeze windows.
+// Returns the fabric's counters.
+fabric::FabricStats run_incremental_differential(const net::ClusterConfig& cfg,
+                                                 int nodes,
+                                                 std::uint64_t seed) {
+  // Windows: the whole fabric at 0.5 over [20, 60) us, and node 1's edge
+  // links at 0.5 * (1 + 2e-10) over [40, 90) us.
+  const sim::Time us = sim::kMicrosecond;
+  const FabricTopo topo = FabricTopo::derive(cfg, nodes);
+  const int node1_up = 1;
+  const int node1_down = nodes + 1;
+  const ReferenceFabric::Scale scale = [=](int l, sim::Time now) {
+    double s = 1.0;
+    if (now >= 20 * us && now < 60 * us) s *= 0.5;
+    if ((l == node1_up || l == node1_down) && now >= 40 * us &&
+        now < 90 * us) {
+      s *= 0.5 * (1.0 + 2e-10);
+    }
+    return s;
+  };
+  Differential d(cfg, nodes, scale, {20 * us, 40 * us, 60 * us, 90 * us});
+
+  // SplitMix64: a platform-independent script.
+  std::uint64_t state = seed;
+  const auto next = [&state]() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const auto pick = [&next](int n) {
+    return static_cast<int>(next() % static_cast<std::uint64_t>(n));
+  };
+  const double link = topo.node_link_gbps;
+  const double way = topo.core_way_gbps;
+  const double caps[] = {link,
+                         link * (1.0 + 3e-10),
+                         way,
+                         way * (1.0 - 3e-10),
+                         link / 2.0 * (1.0 + 2e-10),
+                         way / 2.0 * (1.0 - 2e-10),
+                         link / 3.0};
+  const int ncaps = static_cast<int>(std::size(caps));
+  int ops = 0;
+  sim::Time at = 0;
+  for (int i = 0; i < 400; ++i) {
+    at += static_cast<sim::Time>(300 + pick(1200)) * sim::kNanosecond;
+    const int kind = pick(20);
+    const int a = pick(nodes);
+    const int b = (a + 1 + pick(nodes - 1)) % nodes;
+    const std::uint64_t bytes = 512 + static_cast<std::uint64_t>(pick(16384));
+    const double cap = caps[pick(ncaps)];
+    const int leaf = pick(topo.leaves + 1) - 1;  // -1: every leaf
+    const int w = topo.ecmp_ways > 1 ? 1 + pick(topo.ecmp_ways - 1) : 0;
+    // A burst: 24 long flows between seeded pairs, so that one component
+    // holds most of 32+ live flows and the dense-mode solves run.
+    std::vector<std::pair<int, int>> burst;
+    if (kind == 13 && pick(4) == 0) {
+      for (int k = 0; k < 24; ++k) {
+        const int s = pick(nodes);
+        burst.emplace_back(s, (s + 1 + pick(nodes - 1)) % nodes);
+      }
+    }
+    d.eng.schedule_call(at, [&, kind, a, b, bytes, cap, leaf, w, burst]() {
+      if (!burst.empty()) {
+        for (const auto& [s, t] : burst) d.start_flow(s, t, 4 * bytes, cap);
+      } else if (kind < 14 || (kind < 18 && w == 0)) {
+        d.start_flow(a, b, bytes, cap);
+      } else if (kind < 16) {
+        d.toggle_way(leaf, w);  // way 0 never fails: every pair keeps one
+      } else {
+        d.start_leg(kind < 18, a, bytes, cap);
+      }
+      d.check("after op " + std::to_string(++ops));
+    });
+  }
+  d.run_and_verify();
+  EXPECT_EQ(ops, 400);
+  return d.fabric().stats();
+}
+
+TEST(FabricIncrementalTest, MatchesFromScratchReferenceOnTestPreset) {
+  // 1:1 core whose ways are 4e-10 thinner than the edge links: a lone
+  // cross-leaf flow's level lies inside a lone intra-leaf flow's freeze
+  // window.
+  auto cfg = net::test_cluster(8);
+  cfg.oversubscription = 1.0 + 4e-10;
+  fabric::FabricStats total;
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    total += run_incremental_differential(cfg, 8, seed);
+  }
+  // The closure rule fired, and the solves stayed smaller than the live set.
+  EXPECT_GT(total.closure_merges, 0u);
+  EXPECT_LT(total.solved_flows, total.live_flows);
+}
+
+TEST(FabricIncrementalTest, CouplingSurvivesUnwalkedDenseSolves) {
+  // 32 equal flows share node0.up (12e9 / 32 B/s each); a lone flow X on
+  // other links is capped 2e-10 above that level, so it couples and freezes
+  // at it. Once a component holds most of 32+ live flows, recomputes solve
+  // everything without walking and record no couplings, so the first walk
+  // after them must cover every flow: when the shared link's level later
+  // moves, X must return to its own cap.
+  const auto cfg = net::test_cluster(8);
+  Differential d(cfg, 8);
+  FlowFabric::FlowId x = 0;
+  FlowFabric::FlowId shared = 0;
+  d.eng.schedule_call(0, [&]() {
+    x = d.start_flow(4, 5, 1 << 20, cfg.nic.link_bw / 32 * (1.0 + 2e-10));
+    for (int i = 0; i < 32; ++i) {
+      const auto id = d.start_flow(0, 1, 1 << 16, cfg.nic.link_bw);
+      if (i == 0) shared = id;
+    }
+    EXPECT_EQ(d.fabric().flow_rate_gbps(x),
+              d.fabric().flow_rate_gbps(shared));  // coupled
+    // Unrelated starts on idle links: solved unwalked while the dense run
+    // lasts, and walked after it.
+    for (int i = 0; i < 24; ++i) {
+      d.start_flow(6, 7, 1 << 16, cfg.nic.link_bw);
+      d.check("unrelated start " + std::to_string(i));
+    }
+  });
+  d.run_and_verify();
+}
+
+TEST(FabricIncrementalTest, MatchesFromScratchReferenceOnClusterD) {
+  // Cluster D: 2-node leaves, two 8.8 GB/s ways under 11 GB/s edges.
+  fabric::FabricStats total;
+  for (std::uint64_t seed : {4ULL, 5ULL}) {
+    total += run_incremental_differential(net::cluster_d(), 16, seed);
+  }
+  EXPECT_GT(total.closure_merges, 0u);
+  EXPECT_LT(total.solved_flows, total.live_flows);
 }
 
 // ---------------------------------------------------------------------------

@@ -226,7 +226,9 @@ void print_fabric_stats(const fabric::FabricStats& s) {
   std::cout << "[perf] fabric: " << s.recomputes << " recomputes, "
             << s.fill_rounds << " filling rounds, " << s.completions_armed
             << " completion events armed, " << s.completions_superseded
-            << " superseded\n";
+            << " superseded, " << s.solved_flows << " flows re-solved of "
+            << s.live_flows << " live, " << s.closure_merges
+            << " closure merges\n";
 }
 
 void write_fabric_stats_json(std::ostream& os, const fabric::FabricStats& s) {
@@ -234,7 +236,10 @@ void write_fabric_stats_json(std::ostream& os, const fabric::FabricStats& s) {
      << "  \"fabric_fill_rounds\": " << s.fill_rounds << ",\n"
      << "  \"fabric_completions_armed\": " << s.completions_armed << ",\n"
      << "  \"fabric_completions_superseded\": " << s.completions_superseded
-     << ",\n";
+     << ",\n"
+     << "  \"fabric_solved_flows\": " << s.solved_flows << ",\n"
+     << "  \"fabric_live_flows\": " << s.live_flows << ",\n"
+     << "  \"fabric_closure_merges\": " << s.closure_merges << ",\n";
 }
 
 // Aggregate host-side perf counters across a sweep, serializable as the
@@ -358,19 +363,31 @@ core::MeasureOptions measure_opts(const util::Args& args) {
   return opt;
 }
 
+// --algo: a registered algorithm of `kind`. An unknown name fails here,
+// before any simulation, naming the flag and listing the registered ones.
+std::string algo_flag(const util::Args& args, core::CollKind kind,
+                      const std::string& fallback) {
+  const std::string name = args.get("algo", fallback);
+  const coll::CollRegistry& reg = coll::CollRegistry::instance();
+  if (reg.find(kind, name) == nullptr) {
+    throw util::InvariantError("--algo: " +
+                               reg.unknown_name_message(kind, name));
+  }
+  return name;
+}
+
 int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
                 int nodes, int ppn) {
   const core::CollKind kind = collective_kind(args);
   core::CollSpec spec;
-  spec.algo =
-      args.get("algo", kind == core::CollKind::allreduce ? "dpml" : "auto");
+  spec.algo = algo_flag(args, kind,
+                        kind == core::CollKind::allreduce ? "dpml" : "auto");
   spec.leaders = static_cast<int>(args.get_int("leaders", 4));
   spec.pipeline_k = static_cast<int>(args.get_int("pipeline", 1));
-  // Fail fast on unknown names (the error lists the registered ones).
-  coll::CollRegistry::instance().at(kind, spec.algo);
+  const std::string perf_json = args.get_file("perf-json");
   // --table FILE: dispatch through a tuned selection table instead.
   std::optional<core::SelectionTable> table;
-  const std::string table_path = args.get("table");
+  const std::string table_path = args.get_file("table");
   if (!table_path.empty()) {
     std::ifstream is(table_path);
     if (!is) {
@@ -389,7 +406,6 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   const bool perturbed = !opt.perturb.empty() || opt.repetitions > 1;
   const bool fabric_on = opt.fabric != fabric::FabricLevel::none;
   const bool perf_on = args.get_bool("perf", false);
-  const std::string perf_json = args.get("perf-json");
   std::vector<std::string> header{"msg size", "design", "latency (us)"};
   if (perturbed) {
     header.insert(header.end(),
@@ -523,9 +539,9 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
 int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
   const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const std::string out = args.get_file("out");
   const auto table = core::SelectionTable::tune(
       collective_kind(args), cfg, nodes, ppn, sizes, measure_opts(args));
-  const std::string out = args.get("out");
   if (!out.empty()) {
     std::ofstream os(out);
     os << table.serialize();
@@ -603,22 +619,13 @@ int cmd_fit(const net::ClusterConfig& cfg) {
   return 0;
 }
 
-// --algo for the application kernels: a registered allreduce design. An
-// unknown name fails here, before any simulation, listing the registered
-// ones.
-std::string allreduce_algo(const util::Args& args, const char* fallback) {
-  return coll::CollRegistry::instance()
-      .at(core::CollKind::allreduce, args.get("algo", fallback))
-      .name;
-}
-
 int cmd_hpcg(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
   apps::HpcgOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
   o.iterations = static_cast<int>(args.get_int("iterations", 25));
-  o.spec.algo = allreduce_algo(args, "mvapich2");
+  o.spec.algo = algo_flag(args, core::CollKind::allreduce, "mvapich2");
   const auto r = apps::run_hpcg(cfg, o);
   std::cout << "HPCG on cluster " << cfg.name << ", " << nodes * ppn
             << " ranks, " << o.iterations << " iterations with "
@@ -636,7 +643,7 @@ int cmd_stencil(const util::Args& args, const net::ClusterConfig& cfg,
   o.ppn = ppn;
   o.sweeps = static_cast<int>(args.get_int("sweeps", 20));
   o.check_every = static_cast<int>(args.get_int("check-every", 4));
-  o.spec.algo = allreduce_algo(args, "dpml-auto");
+  o.spec.algo = algo_flag(args, core::CollKind::allreduce, "dpml-auto");
   const auto r = apps::run_stencil(cfg, o);
   std::cout << "3D stencil on cluster " << cfg.name << ", grid " << r.grid[0]
             << "x" << r.grid[1] << "x" << r.grid[2] << ":\n"
@@ -656,7 +663,7 @@ int cmd_dl(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
   o.buckets = static_cast<int>(args.get_int("buckets", 16));
   o.bucket_bytes = args.get_bytes("bucket", 4 << 20);
   o.overlap = args.get_bool("overlap", true);
-  o.spec.algo = allreduce_algo(args, "dpml-auto");
+  o.spec.algo = algo_flag(args, core::CollKind::allreduce, "dpml-auto");
   const auto r = apps::run_dl_training(cfg, o);
   std::cout << "SGD on cluster " << cfg.name << " with " << o.spec.algo
             << (o.overlap ? " (overlapped)" : " (blocking)") << ":\n"
@@ -669,7 +676,7 @@ int cmd_dl(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
 int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
                int nodes, int ppn) {
   std::vector<apps::TraceOp> trace;
-  const std::string path = args.get("trace");
+  const std::string path = args.get_file("trace");
   if (path.empty()) {
     trace = apps::parse_trace(apps::example_trace());
     std::cout << "(no --trace file given; replaying the built-in "
@@ -688,7 +695,7 @@ int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
   o.nodes = nodes;
   o.ppn = ppn;
   o.repetitions = static_cast<int>(args.get_int("reps", 1));
-  o.spec.algo = allreduce_algo(args, "dpml-auto");
+  o.spec.algo = algo_flag(args, core::CollKind::allreduce, "dpml-auto");
   const auto r = apps::replay_trace(cfg, trace, o);
   std::cout << "replayed " << r.ops << " collective ops on cluster "
             << cfg.name << " with " << o.spec.algo
@@ -705,7 +712,7 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
   o.ppn = ppn;
   o.refine_steps = static_cast<int>(args.get_int("steps", 10));
   o.blocks_per_rank = static_cast<int>(args.get_int("blocks", 32));
-  o.spec.algo = allreduce_algo(args, "dpml-auto");
+  o.spec.algo = algo_flag(args, core::CollKind::allreduce, "dpml-auto");
   const auto r = apps::run_miniamr(cfg, o);
   std::cout << "miniAMR on cluster " << cfg.name << ", " << nodes * ppn
             << " ranks, " << o.refine_steps << " steps with "
@@ -724,6 +731,7 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
 int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                 int nodes, int ppn) {
   const int njobs = static_cast<int>(args.get_int("tenants", 2));
+  const std::string perf_json = args.get_file("perf-json");
   tenant::TenantOptions opt;
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   opt.stagger_max_us = args.get_double("stagger-us", 20.0);
@@ -753,12 +761,12 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                        ? tenant::FailSpec::default_spec()
                        : tenant::FailSpec::parse(spec);
   }
-  opt.trace_json = args.get("trace-json");
+  opt.trace_json = args.get_file("trace-json");
   if (args.has("placement")) {
     opt.placement = tenant::placement_by_name(args.get("placement", "block"));
   }
   opt.adapt = args.get_bool("adapt", false);
-  const std::string adapt_table_path = args.get("adapt-table");
+  const std::string adapt_table_path = args.get_file("adapt-table");
   if (!adapt_table_path.empty()) {
     opt.adapt = true;
     std::ifstream in(adapt_table_path);
@@ -842,7 +850,6 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
     std::cout << "adaptive selection table written to " << adapt_table_path
               << "\n";
   }
-  const std::string perf_json = args.get("perf-json");
   if (!perf_json.empty()) {
     std::ofstream os(perf_json);
     if (!os) {
@@ -914,7 +921,7 @@ int main(int argc, char** argv) {
   if (args.get_bool("list-clusters", false)) return cmd_list_clusters();
   if (args.has("mc-replay")) {
     try {
-      return cmd_mc_replay(args.get("mc-replay"));
+      return cmd_mc_replay(args.get_file("mc-replay"));
     } catch (const std::exception& e) {
       std::cerr << "dpmlsim: " << e.what() << "\n";
       return 1;
