@@ -27,9 +27,8 @@ CheckLevel check_level_by_name(const std::string& name) {
        {CheckLevel::off, CheckLevel::basic, CheckLevel::strict}) {
     if (name == check_level_name(l)) return l;
   }
-  DPML_CHECK_MSG(false, "unknown check level '" + name +
-                            "'; valid: off, basic, strict");
-  return CheckLevel::off;
+  throw util::InvariantError("unknown check level '" + name +
+                             "'; valid: off, basic, strict");
 }
 
 const char* coll_op_name(CollOp op) {

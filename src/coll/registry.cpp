@@ -29,8 +29,7 @@ CollKind coll_kind_by_name(const std::string& name) {
   std::ostringstream os;
   os << "unknown collective kind '" << name << "'; valid kinds:";
   for (CollKind k : kAllCollKinds) os << " " << coll_kind_name(k);
-  DPML_CHECK_MSG(false, os.str());
-  return CollKind::allreduce;
+  throw util::InvariantError(os.str());
 }
 
 bool is_coll_kind_name(const std::string& name) {

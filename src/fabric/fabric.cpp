@@ -43,9 +43,8 @@ const char* fabric_level_name(FabricLevel level) {
 FabricLevel fabric_level_by_name(const std::string& name) {
   if (name == "none") return FabricLevel::none;
   if (name == "links") return FabricLevel::links;
-  DPML_CHECK_MSG(false, "unknown fabric level '" + name +
-                            "' (valid: none, links)");
-  return FabricLevel::none;
+  throw util::InvariantError("unknown fabric level '" + name +
+                             "' (valid: none, links)");
 }
 
 FabricTopo FabricTopo::derive(const net::ClusterConfig& cfg, int nodes) {

@@ -74,6 +74,7 @@ namespace dpml::fabric {
 enum class FabricLevel { none, links };
 
 const char* fabric_level_name(FabricLevel level);
+// Accepts "none" and "links"; throws util::InvariantError otherwise.
 FabricLevel fabric_level_by_name(const std::string& name);
 
 // Link counts and capacities derived from a cluster preset — the enforced

@@ -153,8 +153,8 @@ ClusterConfig cluster_by_name(const std::string& name) {
   if (key == "c" || key == "cluster_c") return cluster_c();
   if (key == "d" || key == "cluster_d") return cluster_d();
   if (key == "test" || key == "t") return test_cluster();
-  DPML_CHECK_MSG(false, "unknown cluster preset: " + name);
-  return {};
+  throw util::InvariantError("unknown cluster preset '" + name +
+                             "'; valid: A, B, C, D, test");
 }
 
 std::vector<ClusterConfig> all_clusters() {

@@ -44,7 +44,7 @@ ClusterConfig cluster_c();  // Xeon + Omni-Path
 ClusterConfig cluster_d();  // KNL + Omni-Path
 
 // Lookup by single-letter or full name ("A", "a", "cluster_a"). Throws
-// util::InvariantError for unknown names.
+// util::InvariantError listing the presets for unknown names.
 ClusterConfig cluster_by_name(const std::string& name);
 
 // All presets, for sweeps.

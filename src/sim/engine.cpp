@@ -27,9 +27,8 @@ SchedulerKind scheduler_kind_by_name(const std::string& name) {
     return SchedulerKind::binary_heap;
   }
   if (name == "calendar") return SchedulerKind::calendar;
-  DPML_CHECK_MSG(false, "unknown scheduler '" + name +
-                            "'; valid names: auto, binary-heap, calendar");
-  return SchedulerKind::automatic;
+  throw util::InvariantError("unknown scheduler '" + name +
+                             "'; valid names: auto, binary-heap, calendar");
 }
 
 std::uint64_t peak_rss_kb() {

@@ -154,9 +154,10 @@ class BufferPool {
 
   const PoolStats& stats() const { return stats_; }
 
-  // A buffer of exactly `size` bytes (contents unspecified: callers
-  // overwrite the full span). Capacity comes from the size-class bucket
-  // when one is warm.
+  // A buffer of exactly `size` bytes, all zero: resize() value-initialises
+  // every byte, of a recycled buffer as well as a fresh one (callers
+  // overwrite the full span anyway). Capacity comes from the size-class
+  // bucket when one is warm.
   std::vector<std::byte> acquire(std::size_t size) {
     std::vector<std::byte> buf;
     auto& bucket = buckets_[class_of(size)];

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -45,36 +47,75 @@ const char* op_name(ReduceOp op) {
 
 namespace {
 
+// Every fold moves whole 16-byte blocks through local arrays: memcpy in, one
+// fixed-length elementwise loop, memcpy out. The payload spans carry no
+// alignment and may alias each other, but the local arrays do neither, so
+// the compiler can vectorise the inner loop without runtime alias checks.
+// 16 bytes is one SSE2/NEON register: gcc 12 -O2 then keeps the block in a
+// register (load, one SIMD op, store), while 64-byte blocks went through
+// stack copies and folded at less than half the bandwidth on x86-64.
+// Each element still gets exactly the scalar operation in the same
+// precision (no reassociation), so the result is bit-identical to a
+// per-element loop. The count % lanes remainder runs per element.
+constexpr std::size_t kBlockBytes = 16;
+
+template <typename T, typename F>
+void fold(std::size_t count, std::byte* acc, const std::byte* in, F f) {
+  constexpr std::size_t kLanes = kBlockBytes / sizeof(T);
+  const std::size_t blocks = count / kLanes;
+  for (std::size_t k = 0; k < blocks; ++k) {
+    T a[kLanes]{};
+    T b[kLanes]{};
+    std::memcpy(a, acc, kBlockBytes);
+    std::memcpy(b, in, kBlockBytes);
+    for (std::size_t j = 0; j < kLanes; ++j) a[j] = f(a[j], b[j]);
+    std::memcpy(acc, a, kBlockBytes);
+    acc += kBlockBytes;
+    in += kBlockBytes;
+  }
+  for (std::size_t i = blocks * kLanes; i < count; ++i) {
+    T a{};
+    T b{};
+    std::memcpy(&a, acc, sizeof(T));
+    std::memcpy(&b, in, sizeof(T));
+    a = f(a, b);
+    std::memcpy(acc, &a, sizeof(T));
+    acc += sizeof(T);
+    in += sizeof(T);
+  }
+}
+
+// Dispatches the op once per call; fold() then runs one branch-free loop.
 template <typename T>
-void combine_typed(ReduceOp op, std::size_t count, std::byte* acc_raw,
-                   const std::byte* in_raw) {
-  // Elementwise combine through memcpy to respect aliasing rules.
-  for (std::size_t i = 0; i < count; ++i) {
-    T a;
-    T b;
-    std::memcpy(&a, acc_raw + i * sizeof(T), sizeof(T));
-    std::memcpy(&b, in_raw + i * sizeof(T), sizeof(T));
-    switch (op) {
-      case ReduceOp::sum: a = a + b; break;
-      case ReduceOp::prod: a = a * b; break;
-      case ReduceOp::min: a = std::min(a, b); break;
-      case ReduceOp::max: a = std::max(a, b); break;
-      case ReduceOp::band:
-        if constexpr (std::is_integral_v<T>) {
-          a = a & b;
+void combine_typed(ReduceOp op, std::size_t count, std::byte* acc,
+                   const std::byte* in) {
+  switch (op) {
+    case ReduceOp::sum:
+      fold<T>(count, acc, in, [](T a, T b) { return static_cast<T>(a + b); });
+      return;
+    case ReduceOp::prod:
+      fold<T>(count, acc, in, [](T a, T b) { return static_cast<T>(a * b); });
+      return;
+    case ReduceOp::min:
+      fold<T>(count, acc, in, [](T a, T b) { return std::min(a, b); });
+      return;
+    case ReduceOp::max:
+      fold<T>(count, acc, in, [](T a, T b) { return std::max(a, b); });
+      return;
+    case ReduceOp::band:
+    case ReduceOp::bor:
+      if constexpr (std::is_integral_v<T>) {
+        if (op == ReduceOp::band) {
+          fold<T>(count, acc, in,
+                  [](T a, T b) { return static_cast<T>(a & b); });
         } else {
-          DPML_CHECK_MSG(false, "bitwise op on floating-point dtype");
+          fold<T>(count, acc, in,
+                  [](T a, T b) { return static_cast<T>(a | b); });
         }
-        break;
-      case ReduceOp::bor:
-        if constexpr (std::is_integral_v<T>) {
-          a = a | b;
-        } else {
-          DPML_CHECK_MSG(false, "bitwise op on floating-point dtype");
-        }
-        break;
-    }
-    std::memcpy(acc_raw + i * sizeof(T), &a, sizeof(T));
+      } else {
+        DPML_CHECK_MSG(false, "bitwise op on floating-point dtype");
+      }
+      return;
   }
 }
 
@@ -87,6 +128,14 @@ void reduce_inplace(ReduceOp op, Dtype dt, std::size_t count, MutBytes acc,
   DPML_CHECK_MSG(acc.size() == bytes && in.size() == bytes,
                  "reduce_inplace span size mismatch");
   if (count == 0) return;
+  // Blocked folding reads a block of `in` before writing that block of
+  // `acc`, which differs from a per-element loop only when the spans
+  // partially overlap. MPI forbids that; exact aliasing is fine.
+  const std::byte* a = acc.data();
+  const std::byte* b = in.data();
+  const std::less<const std::byte*> before;  // total order across objects
+  DPML_CHECK_MSG(a == b || !before(b, a + bytes) || !before(a, b + bytes),
+                 "reduce_inplace spans partially overlap");
   switch (dt) {
     case Dtype::f32: combine_typed<float>(op, count, acc.data(), in.data()); break;
     case Dtype::f64: combine_typed<double>(op, count, acc.data(), in.data()); break;

@@ -28,7 +28,10 @@ const char* op_name(ReduceOp op);
 
 // Elementwise acc = acc (op) in, over count elements of dtype dt.
 // Both spans may be empty (metadata-only simulation) — then this is a no-op.
-// If non-empty, both must hold exactly count * dtype_size(dt) bytes.
+// If non-empty, both must hold exactly count * dtype_size(dt) bytes, and
+// they must be the same span or disjoint: partial overlap throws (MPI
+// forbids it, and it is the one case where the blocked kernel's result
+// would differ from a per-element loop).
 void reduce_inplace(ReduceOp op, Dtype dt, std::size_t count, MutBytes acc,
                     ConstBytes in);
 

@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -43,7 +45,24 @@ std::string Args::get(const std::string& key, const std::string& def) const {
 
 long long Args::get_int(const std::string& key, long long def) const {
   const std::string v = get(key);
-  return v.empty() ? def : std::stoll(v);
+  if (v.empty()) return def;
+  long long out = 0;
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    throw InvariantError("--" + key + " takes an integer, got '" + v + "'");
+  }
+  return out;
+}
+
+long long Args::get_int_at_least(const std::string& key, long long def,
+                                 long long min) const {
+  const long long v = get_int(key, def);
+  if (v < min) {
+    throw InvariantError("--" + key + " must be at least " +
+                         std::to_string(min) + ", got " + std::to_string(v));
+  }
+  return v;
 }
 
 double Args::get_double(const std::string& key, double def) const {

@@ -20,7 +20,12 @@ class Args {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def = "") const;
+  // Throws util::InvariantError naming the flag when the value is not a
+  // whole decimal integer (a bare "--key" parses as "true").
   long long get_int(const std::string& key, long long def) const;
+  // get_int that also rejects values below `min`, naming the flag.
+  long long get_int_at_least(const std::string& key, long long def,
+                             long long min) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def = false) const;
   // A flag naming a file: "" when absent. Throws util::InvariantError

@@ -45,6 +45,29 @@ TEST(Args, TypedGetters) {
   EXPECT_DOUBLE_EQ(a.get_double("absent", 1.25), 1.25);
 }
 
+TEST(Args, IntegerFlagsNameTheFlagOnBadValues) {
+  auto a = make({"prog", "--n", "12abc", "--bare", "--zero", "0", "--neg",
+                 "-3"});
+  auto message = [](auto&& get) {
+    try {
+      (void)get();
+    } catch (const InvariantError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([&] { return a.get_int("n", 0); }),
+            "--n takes an integer, got '12abc'");
+  EXPECT_EQ(message([&] { return a.get_int("bare", 0); }),
+            "--bare takes an integer, got 'true'");
+  EXPECT_EQ(message([&] { return a.get_int_at_least("zero", 4, 1); }),
+            "--zero must be at least 1, got 0");
+  EXPECT_EQ(message([&] { return a.get_int_at_least("neg", 0, 0); }),
+            "--neg must be at least 0, got -3");
+  EXPECT_EQ(a.get_int_at_least("zero", 4, 0), 0);
+  EXPECT_EQ(a.get_int_at_least("absent", 4, 1), 4);
+}
+
 TEST(Args, FileFlagsNeedAName) {
   auto a = make({"prog", "--out", "x.json", "--bare", "--eq=", "--no",
                  "false", "--last"});

@@ -136,4 +136,42 @@ TEST_F(DpmlsimCliTest, UnknownAlgoNamesTheFlagAndTheRegisteredDesigns) {
       << r.output;
 }
 
+TEST_F(DpmlsimCliTest, BadSharedFlagsNameTheFlagBeforeTheRun) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"latency --cluster Z",
+       "--cluster: unknown cluster preset 'Z'; valid: A, B, C, D, test"},
+      {std::string(kLatency) + "--nodes 0", "--nodes must be at least 1"},
+      {std::string(kLatency) + "--nodes abc",
+       "--nodes takes an integer, got 'abc'"},
+      {std::string(kLatency) + "--ppn 0", "--ppn must be at least 1"},
+      {std::string(kLatency) + "--reps 0", "--reps must be at least 1"},
+      {std::string(kLatency) + "--iterations 0",
+       "--iterations must be at least 1"},
+      {std::string(kLatency) + "--warmup -1", "--warmup must be at least 0"},
+      {std::string(kLatency) + "--scheduler foo",
+       "--scheduler: unknown scheduler 'foo'"},
+      {std::string(kLatency) + "--check foo", "--check: unknown check level"},
+      {std::string(kLatency) + "--fabric foo",
+       "--fabric: unknown fabric level"},
+      {std::string(kLatency) + "--collective foo",
+       "--collective: unknown collective kind 'foo'"},
+      {std::string(kTenants) + "--scheduler foo",
+       "--scheduler: unknown scheduler 'foo'"},
+      {"--cluster test --nodes 4 --ppn 2 --tenants 0",
+       "--tenants must be at least 1"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CliRun r = run_dpmlsim(dir_, args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("dpmlsim: " + message), std::string::npos)
+        << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find(".hpp:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    // Nothing ran: no result table, no tenant report.
+    EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("shared run"), std::string::npos) << r.output;
+  }
+}
+
 }  // namespace

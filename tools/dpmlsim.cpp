@@ -153,9 +153,31 @@ int usage() {
   return 2;
 }
 
+// A flag whose value a library *_by_name parser maps to one of its choices.
+// The parsers throw util::InvariantError listing the valid names; the flag
+// is prefixed so the message says which input was wrong.
+template <typename Parse>
+auto choice_flag(const util::Args& args, const std::string& flag,
+                 const std::string& def, Parse parse) {
+  try {
+    return parse(args.get(flag, def));
+  } catch (const util::InvariantError& e) {
+    throw util::InvariantError("--" + flag + ": " + e.what());
+  }
+}
+
 // --collective KIND (default allreduce).
 core::CollKind collective_kind(const util::Args& args) {
-  return coll::coll_kind_by_name(args.get("collective", "allreduce"));
+  return choice_flag(args, "collective", "allreduce", coll::coll_kind_by_name);
+}
+
+// --fabric [LEVEL]; a bare "--fabric" parses as the boolean "true": links.
+fabric::FabricLevel fabric_flag(const util::Args& args) {
+  return choice_flag(args, "fabric", "", [](const std::string& level) {
+    return (level.empty() || level == "true")
+               ? fabric::FabricLevel::links
+               : fabric::fabric_level_by_name(level);
+  });
 }
 
 int cmd_list_algorithms() {
@@ -320,27 +342,22 @@ struct PerfAgg {
 
 core::MeasureOptions measure_opts(const util::Args& args) {
   core::MeasureOptions opt;
-  opt.iterations = static_cast<int>(args.get_int("iterations", 3));
-  opt.warmup = static_cast<int>(args.get_int("warmup", 1));
+  opt.iterations = static_cast<int>(args.get_int_at_least("iterations", 3, 1));
+  opt.warmup = static_cast<int>(args.get_int_at_least("warmup", 1, 0));
   opt.with_data = args.get_bool("data", false);
-  opt.repetitions = static_cast<int>(args.get_int("reps", 1));
+  opt.repetitions = static_cast<int>(args.get_int_at_least("reps", 1, 1));
   // Unknown injectors/parameters throw util::InvariantError naming every
   // valid one; main's catch turns that into the CLI error message.
   opt.perturb = perturb::PerturbSpec::parse(args.get("perturb", ""));
   if (args.has("check")) {
-    const std::string level = args.get("check", "");
     // Bare "--check" parses as the boolean "true": treat it as basic.
-    opt.check = (level.empty() || level == "true")
-                    ? check::CheckLevel::basic
-                    : check::check_level_by_name(level);
+    opt.check = choice_flag(args, "check", "", [](const std::string& level) {
+      return (level.empty() || level == "true")
+                 ? check::CheckLevel::basic
+                 : check::check_level_by_name(level);
+    });
   }
-  if (args.has("fabric")) {
-    const std::string level = args.get("fabric", "");
-    // Bare "--fabric" parses as the boolean "true": treat it as links.
-    opt.fabric = (level.empty() || level == "true")
-                     ? fabric::FabricLevel::links
-                     : fabric::fabric_level_by_name(level);
-  }
+  if (args.has("fabric")) opt.fabric = fabric_flag(args);
   if (args.get_bool("time-only", false)) {
     // Conflicts fail here with the offending flags and the remedy spelled
     // out, before any machine is built.
@@ -358,7 +375,8 @@ core::MeasureOptions measure_opts(const util::Args& args) {
     opt.data_mode = sim::DataMode::timeonly;
   }
   if (args.has("scheduler")) {
-    opt.scheduler = sim::scheduler_kind_by_name(args.get("scheduler", "auto"));
+    opt.scheduler = choice_flag(args, "scheduler", "auto",
+                                sim::scheduler_kind_by_name);
   }
   return opt;
 }
@@ -694,7 +712,7 @@ int cmd_replay(const util::Args& args, const net::ClusterConfig& cfg,
   apps::ReplayOptions o;
   o.nodes = nodes;
   o.ppn = ppn;
-  o.repetitions = static_cast<int>(args.get_int("reps", 1));
+  o.repetitions = static_cast<int>(args.get_int_at_least("reps", 1, 1));
   o.spec.algo = algo_flag(args, core::CollKind::allreduce, "dpml-auto");
   const auto r = apps::replay_trace(cfg, trace, o);
   std::cout << "replayed " << r.ops << " collective ops on cluster "
@@ -730,23 +748,19 @@ int cmd_miniamr(const util::Args& args, const net::ClusterConfig& cfg,
 // ECMP-way failures.
 int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
                 int nodes, int ppn) {
-  const int njobs = static_cast<int>(args.get_int("tenants", 2));
+  const int njobs = static_cast<int>(args.get_int_at_least("tenants", 2, 1));
   const std::string perf_json = args.get_file("perf-json");
   tenant::TenantOptions opt;
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   opt.stagger_max_us = args.get_double("stagger-us", 20.0);
   opt.perturb = perturb::PerturbSpec::parse(args.get("perturb", ""));
-  if (args.has("fabric")) {
-    const std::string level = args.get("fabric", "");
-    opt.fabric = (level.empty() || level == "true")
-                     ? fabric::FabricLevel::links
-                     : fabric::fabric_level_by_name(level);
-  }
+  if (args.has("fabric")) opt.fabric = fabric_flag(args);
   if (args.get_bool("time-only", false)) {
     opt.data_mode = sim::DataMode::timeonly;
   }
   if (args.has("scheduler")) {
-    opt.scheduler = sim::scheduler_kind_by_name(args.get("scheduler", "auto"));
+    opt.scheduler = choice_flag(args, "scheduler", "auto",
+                                sim::scheduler_kind_by_name);
   }
   if (args.has("bg-traffic")) {
     const std::string spec = args.get("bg-traffic", "");
@@ -929,10 +943,13 @@ int main(int argc, char** argv) {
   }
   if (args.positional().empty() && !args.has("tenants")) return usage();
   try {
-    net::ClusterConfig cfg = net::cluster_by_name(args.get("cluster", "B"));
+    // Flags every command shares are checked here, before any simulation,
+    // and name the flag on error.
+    net::ClusterConfig cfg =
+        choice_flag(args, "cluster", "B", net::cluster_by_name);
     const int rails = static_cast<int>(args.get_int("rails", 1));
     if (rails > 1) cfg = net::with_rails(cfg, rails);
-    const int nodes = static_cast<int>(args.get_int("nodes", 8));
+    const int nodes = static_cast<int>(args.get_int_at_least("nodes", 8, 1));
     if (nodes > cfg.total_nodes) {
       // Extrapolated sweep: grow the preset to the requested node count
       // rather than failing (fig10-style extreme-scale curves).
@@ -941,7 +958,8 @@ int main(int argc, char** argv) {
                 << "\n";
       cfg = net::with_nodes(std::move(cfg), nodes);
     }
-    const int ppn = static_cast<int>(args.get_int("ppn", cfg.max_ppn()));
+    const int ppn =
+        static_cast<int>(args.get_int_at_least("ppn", cfg.max_ppn(), 1));
     if (args.has("tenants")) return cmd_tenants(args, cfg, nodes, ppn);
     const std::string cmd = args.positional()[0];
     if (cmd == "latency") return cmd_latency(args, cfg, nodes, ppn);
