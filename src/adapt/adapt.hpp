@@ -5,10 +5,10 @@
 // failure events — but the selection layer still picked (algorithm,
 // leader_count) from offline tables tuned on a pristine, solo cluster. This
 // subsystem closes that loop: between collective iterations a job's observed
-// signals are quantized to a discrete *contention level*, and an
-// AdaptiveTable — the selection-table text format extended with a contention
-// dimension — re-selects the job's (algorithm, leader_count) for the next
-// iteration. Level 0 always reproduces the job's static plan (with the
+// signals are quantized to a discrete *contention level*, and the selection
+// table's entries at that level (core::SelectionTable, whose header documents
+// the @cN grammar) re-select the job's (algorithm, leader_count) for the
+// next iteration. Level 0 always reproduces the job's static plan (with the
 // default table), so adaptive runs under zero background load and no
 // failures stay bit-identical to static selection (golden-locked).
 //
@@ -23,15 +23,12 @@
 #include <vector>
 
 #include "coll/registry.hpp"
-
-namespace dpml::core {
-class SelectionTable;
-}
+#include "core/selection.hpp"
 
 namespace dpml::adapt {
 
 // Discrete contention severity: 0 = pristine .. kLevels-1 = saturated.
-constexpr int kLevels = 4;
+inline constexpr int kLevels = core::kContentionLevels;
 
 // One observation window's feedback signals, as measured by the tenant
 // layer between consecutive iteration barriers of one job.
@@ -51,64 +48,9 @@ struct Signals {
 // core capacity than the utilization numbers alone suggest).
 int classify(const Signals& s);
 
-// A congestion-keyed selection table. The text format extends the
-// core::SelectionTable grammar with an optional contention-level qualifier:
-//
-//   [KIND] [@cLEVEL] <=BYTES  ALGO [leaders] [pipeline_k]
-//   [KIND] [@cLEVEL] *        ALGO [leaders] [pipeline_k]
-//
-// e.g.
-//   *                ring            # legacy line: level 0
-//   @c1 *            cring 2         # mild contention: 2 channels
-//   allreduce @c3 *  cring 8
-//
-// Lines without @c parse as level 0, so every legacy selection table is a
-// valid adaptive table (schema migration, docs/MODEL.md §12); level-0-only
-// tables serialize back without qualifiers, i.e. in the legacy format.
-// Per (kind, level): thresholds strictly ascending, catch-all required last.
-class AdaptiveTable {
- public:
-  struct Entry {
-    coll::CollKind kind = coll::CollKind::allreduce;
-    int level = 0;
-    std::size_t max_bytes = 0;  // inclusive bound; SIZE_MAX = catch-all
-    coll::CollSpec spec;
-  };
-
-  AdaptiveTable() = default;
-  explicit AdaptiveTable(std::vector<Entry> entries);
-
-  // The built-in ladder: no level-0 entries (the job's static plan stays in
-  // charge when the fabric is quiet) and progressively more multi-channel
-  // ring channels for congested allreduce jobs.
-  static AdaptiveTable defaults();
-
-  // Migration: every entry of a legacy selection table becomes a level-0
-  // adaptive entry.
-  static AdaptiveTable from_selection(const core::SelectionTable& table);
-
-  // Parse / serialize the text format above. parse() throws
-  // util::InvariantError on malformed input or unregistered algorithms.
-  static AdaptiveTable parse(const std::string& text);
-  std::string serialize() const;
-
-  // Entry for (kind, bytes) at the highest populated level <= level;
-  // nullptr when no level down to 0 covers the kind.
-  const Entry* select(coll::CollKind kind, std::size_t bytes, int level) const;
-
-  // Persist an observed choice: replace the catch-all spec for
-  // (kind, level), appending the entry if absent. Recording the spec the
-  // table itself selected is a no-op, so persisted tables are stable under
-  // repeated runs.
-  void record(coll::CollKind kind, int level, const coll::CollSpec& spec);
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  bool empty() const { return entries_.empty(); }
-
- private:
-  void validate() const;
-  std::vector<Entry> entries_;
-};
+// perfbench/workloads.cpp still names the table by its former adaptive
+// type; every other caller names core::SelectionTable.
+using AdaptiveTable = core::SelectionTable;
 
 // A job's (algorithm, leader_count) plan.
 struct Plan {
@@ -129,8 +71,8 @@ struct Plan {
 // back level-by-level), or the static plan when no entry covers it.
 class Replanner {
  public:
-  Replanner(const AdaptiveTable* table, coll::CollKind kind, Plan static_plan,
-            std::size_t bytes);
+  Replanner(const core::SelectionTable* table, coll::CollKind kind,
+            Plan static_plan, std::size_t bytes);
 
   const Plan& replan(const Signals& s);
   // A failure/recovery event invalidated the current plan; the next
@@ -143,13 +85,13 @@ class Replanner {
   int max_level() const { return max_level_; }
 
   // Persistence feed: whether a plan was chosen at `level` this run, and
-  // the last plan chosen there (AdaptiveTable::record folds these back into
+  // the last plan chosen there (SelectionTable::record folds these back into
   // the table — including level 0, which migrates the static plan in).
   bool observed(int level) const;
   const Plan& observed_plan(int level) const;
 
  private:
-  const AdaptiveTable* table_;  // not owned; may be nullptr (static only)
+  const core::SelectionTable* table_;  // not owned; nullptr = static only
   coll::CollKind kind_;
   Plan static_plan_;
   std::size_t bytes_;

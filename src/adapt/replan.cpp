@@ -25,7 +25,7 @@ int classify(const Signals& s) {
   return level;
 }
 
-Replanner::Replanner(const AdaptiveTable* table, coll::CollKind kind,
+Replanner::Replanner(const core::SelectionTable* table, coll::CollKind kind,
                      Plan static_plan, std::size_t bytes)
     : table_(table),
       kind_(kind),
@@ -43,7 +43,7 @@ Replanner::Replanner(const AdaptiveTable* table, coll::CollKind kind,
 const Plan& Replanner::replan(const Signals& s) {
   const int level = classify(s);
   if (level != level_ || stale_) {
-    const AdaptiveTable::Entry* e =
+    const core::SelectionTable::Entry* e =
         table_ != nullptr ? table_->select(kind_, bytes_, level) : nullptr;
     Plan next = e != nullptr ? Plan{e->spec.algo, e->spec.leaders}
                              : static_plan_;

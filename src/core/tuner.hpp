@@ -20,14 +20,14 @@
 
 namespace dpml::core {
 
-struct GenericTunedEntry {
+struct TunedEntry {
   coll::CollSpec spec;
   double avg_us = 0.0;
 };
 
-struct GenericTuneResult {
-  GenericTunedEntry best;
-  std::vector<GenericTunedEntry> all;  // every candidate, fastest first
+struct TuneResult {
+  TunedEntry best;
+  std::vector<TunedEntry> all;  // every candidate, fastest first
 };
 
 // Candidate sweep for `kind` built from the registry's tunable descriptors.
@@ -40,14 +40,14 @@ std::vector<coll::CollSpec> registry_candidates(CollKind kind, int ppn,
                                                 bool has_sharp,
                                                 std::size_t bytes);
 
-GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
-                                  int nodes, int ppn, std::size_t bytes,
-                                  const std::vector<coll::CollSpec>& candidates,
-                                  const MeasureOptions& opt = {});
+TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
+                           int nodes, int ppn, std::size_t bytes,
+                           const std::vector<coll::CollSpec>& candidates,
+                           const MeasureOptions& opt = {});
 
 // Convenience: registry candidate set.
-GenericTuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
-                                  int nodes, int ppn, std::size_t bytes,
-                                  const MeasureOptions& opt = {});
+TuneResult tune_collective(CollKind kind, const net::ClusterConfig& cfg,
+                           int nodes, int ppn, std::size_t bytes,
+                           const MeasureOptions& opt = {});
 
 }  // namespace dpml::core

@@ -139,7 +139,7 @@ struct JobState {
 // Replanner state machine plus the byte counters that turn the fabric's
 // group accounting into per-window foreign-utilization signals.
 struct AdaptJob {
-  AdaptJob(const adapt::AdaptiveTable* table, coll::CollKind kind,
+  AdaptJob(const core::SelectionTable* table, coll::CollKind kind,
            adapt::Plan static_plan, std::size_t bytes)
       : rp(table, kind, std::move(static_plan), bytes) {}
 
@@ -721,7 +721,7 @@ void validate(const net::ClusterConfig& cfg, int ppn,
     for (const JobSpec& j : jobs) {
       if (j.sharp) continue;
       for (int level = 0; level < adapt::kLevels; ++level) {
-        const adapt::AdaptiveTable::Entry* e =
+        const core::SelectionTable::Entry* e =
             opt.table.select(j.kind, j.bytes, level);
         if (e == nullptr) continue;
         const coll::CollDescriptor& d =
@@ -850,7 +850,7 @@ TenantResult run_tenants(const net::ClusterConfig& cfg, int ppn,
     // The persisted feedback loop: fold every observed (kind, level) choice
     // back into the input table and hand the result to the caller
     // (dpmlsim --adapt-table writes it to disk).
-    adapt::AdaptiveTable updated = opt.table;
+    core::SelectionTable updated = opt.table;
     for (int j = 0; j < njobs; ++j) {
       if (sh.adapt.empty()) break;
       const JobAdaptOut& ao = sh.adapt[static_cast<std::size_t>(j)];

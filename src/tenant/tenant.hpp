@@ -137,7 +137,7 @@ struct TenantOptions {
   // through `table`. Applies to the shared run only — solo baselines stay
   // the static reference. Requires fabric == links.
   bool adapt = false;
-  adapt::AdaptiveTable table = adapt::AdaptiveTable::defaults();
+  core::SelectionTable table = core::SelectionTable::defaults();
 };
 
 struct JobStats {

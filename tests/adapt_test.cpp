@@ -1,7 +1,8 @@
 // Congestion-aware adaptive re-planning (src/adapt, docs/MODEL.md §12):
 // signal quantization fixtures, the contention-keyed table grammar
-// (parse/serialize round-trips, legacy-table migration, level fallback,
-// record persistence), the Replanner state machine, and the tenant-layer
+// (parse/serialize round-trips and a seeded round-trip property, malformed
+// line rejection, legacy-table migration, level fallback, record
+// persistence), the Replanner state machine, and the tenant-layer
 // integration contracts — the golden no-op lock (adaptive on a quiet fabric
 // is bit-identical to static selection), the congestion flip (a hot link
 // re-plans the job onto more ring channels and actually helps), failure-
@@ -11,6 +12,7 @@
 // witness on preset D).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "net/cluster.hpp"
 #include "tenant/tenant.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dpml {
 namespace {
@@ -44,10 +47,12 @@ TEST(AdaptClassifyTest, FailureBumpsTheLevelAndSaturates) {
 }
 
 // ---------------------------------------------------------------------------
-// The contention-keyed table grammar.
+// The contention-keyed table grammar (core::SelectionTable's @cN levels).
+
+using core::SelectionTable;
 
 TEST(AdaptTableTest, ParsesLevelsAndFallsBackLevelByLevel) {
-  const adapt::AdaptiveTable t = adapt::AdaptiveTable::parse(
+  const SelectionTable t = SelectionTable::parse(
       "# comment\n"
       "<=1024 rd\n"
       "* ring\n"
@@ -71,65 +76,159 @@ TEST(AdaptTableTest, ParsesLevelsAndFallsBackLevelByLevel) {
 }
 
 TEST(AdaptTableTest, SerializeRoundTripsAndLevelZeroStaysLegacy) {
-  const adapt::AdaptiveTable t = adapt::AdaptiveTable::parse(
+  const SelectionTable t = SelectionTable::parse(
       "allreduce <=65536 rsa\n"
       "allreduce * ring\n"
       "allreduce @c3 * cring 8\n"
       "bcast * binomial\n");
   const std::string text = t.serialize();
   EXPECT_NE(text.find("@c3"), std::string::npos);
-  const adapt::AdaptiveTable back = adapt::AdaptiveTable::parse(text);
+  EXPECT_EQ(text.rfind("# dpml adaptive selection table", 0), 0u);
+  const SelectionTable back = SelectionTable::parse(text);
   ASSERT_EQ(back.entries().size(), t.entries().size());
   for (std::size_t i = 0; i < t.entries().size(); ++i) {
     EXPECT_EQ(back.entries()[i].level, t.entries()[i].level) << i;
     EXPECT_EQ(back.entries()[i].max_bytes, t.entries()[i].max_bytes) << i;
     EXPECT_EQ(back.entries()[i].spec.algo, t.entries()[i].spec.algo) << i;
   }
-  // A level-0-only table serializes in the legacy selection-table format —
-  // and therefore parses as a legacy core::SelectionTable too.
-  const adapt::AdaptiveTable flat =
-      adapt::AdaptiveTable::parse("<=1024 rd\n* ring\n");
-  const std::string legacy = flat.serialize();
-  EXPECT_EQ(legacy.find("@c"), std::string::npos);
-  const core::SelectionTable st = core::SelectionTable::parse(legacy);
-  EXPECT_EQ(st.select(coll::CollKind::allreduce, 4096).algo, "ring");
+  // A level-0 multi-kind table serializes byte for byte as the selection
+  // table format did before contention levels existed.
+  const SelectionTable flat = SelectionTable::parse(
+      "<=8192 dpml 4\n"
+      "* dpml 16 4\n"
+      "reduce <=65536 binomial\n"
+      "reduce * dpml 8\n"
+      "bcast * scatter-allgather\n");
+  EXPECT_EQ(flat.serialize(),
+            "# dpml collective selection table\n"
+            "<=8192  dpml 4 1\n"
+            "*  dpml 16 4\n"
+            "reduce <=65536  binomial\n"
+            "reduce *  dpml 8 1\n"
+            "bcast *  scatter-allgather\n");
 }
 
 TEST(AdaptTableTest, MigratesLegacySelectionTables) {
-  // Every legacy selection table is a valid adaptive table: directly...
-  const adapt::AdaptiveTable direct =
-      adapt::AdaptiveTable::parse("<=16384 rd\n* ring\n");
-  EXPECT_EQ(direct.entries().size(), 2u);
-  for (const auto& e : direct.entries()) EXPECT_EQ(e.level, 0);
-  // ...and via the typed migration.
-  const core::SelectionTable legacy =
-      core::SelectionTable::parse("<=16384 rd\n* ring\n");
-  const adapt::AdaptiveTable migrated =
-      adapt::AdaptiveTable::from_selection(legacy);
-  ASSERT_EQ(migrated.entries().size(), 2u);
-  EXPECT_EQ(migrated.entries()[0].spec.algo, "rd");
-  EXPECT_EQ(migrated.entries()[1].spec.algo, "ring");
-  for (const auto& e : migrated.entries()) EXPECT_EQ(e.level, 0);
+  // A legacy table is a table whose entries all sit at level 0: every
+  // contention level falls back onto them.
+  const SelectionTable legacy = SelectionTable::parse("<=16384 rd\n* ring\n");
+  ASSERT_EQ(legacy.entries().size(), 2u);
+  for (const auto& e : legacy.entries()) EXPECT_EQ(e.level, 0);
+  for (int level = 0; level < adapt::kLevels; ++level) {
+    const auto* e = legacy.select(coll::CollKind::allreduce, 1 << 20, level);
+    ASSERT_NE(e, nullptr) << level;
+    EXPECT_EQ(e->spec.algo, "ring") << level;
+  }
+  EXPECT_EQ(legacy.serialize().find("@c"), std::string::npos);
 }
 
 TEST(AdaptTableTest, ValidatesShapeAndAlgorithms) {
-  using adapt::AdaptiveTable;
   // Unregistered algorithm.
-  EXPECT_THROW((void)AdaptiveTable::parse("* nosuch\n"), util::InvariantError);
+  EXPECT_THROW((void)SelectionTable::parse("* nosuch\n"),
+               util::InvariantError);
   // Level out of range.
-  EXPECT_THROW((void)AdaptiveTable::parse("@c9 * ring\n"),
+  EXPECT_THROW((void)SelectionTable::parse("@c9 * ring\n"),
                util::InvariantError);
   // Missing catch-all for a populated (kind, level).
-  EXPECT_THROW((void)AdaptiveTable::parse("@c1 <=1024 ring\n"),
+  EXPECT_THROW((void)SelectionTable::parse("@c1 <=1024 ring\n"),
                util::InvariantError);
   // Thresholds must ascend within a (kind, level).
   EXPECT_THROW(
-      (void)AdaptiveTable::parse("<=4096 rd\n<=1024 ring\n* ring\n"),
+      (void)SelectionTable::parse("<=4096 rd\n<=1024 ring\n* ring\n"),
       util::InvariantError);
 }
 
+// Lines the grammar once accepted by accident: each must fail in parse(),
+// with a message that quotes the line.
+TEST(AdaptTableTest, RejectsMalformedLinesQuotingThem) {
+  const std::string lines[] = {
+      "<=-1 rd",                     // stoull wrapped it to the catch-all
+      "<=abc rd",                    // stoull threw a bare "stoull"
+      "<=18446744073709551615 rd",   // SIZE_MAX is the catch-all sentinel
+      "* cring two",                 // non-integer leaders ran as cring(l=4)
+      "* ring 4 x y",                // trailing tokens were ignored
+      "* dpml 0",                    // leaders 0 failed mid-run
+      "* dpml 4 0",                  // pipeline_k 0 failed mid-run
+      "@cx * ring",                  // non-integer contention level
+      "reduce",                      // kind without a bound
+      "<=1024",                      // bound without an algorithm
+      "<=1024 nosuch",               // unregistered algorithm
+  };
+  for (const std::string& line : lines) {
+    try {
+      (void)SelectionTable::parse(line + "\n* ring\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + line + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A seeded round-trip property over the whole grammar: kinds x levels x
+// ascending bounds x registered algorithms, with and without leader
+// parameters, with (kind, level) groups interleaved in the entry list.
+TEST(AdaptTableTest, RandomTablesRoundTripThroughTheText) {
+  const coll::CollRegistry& reg = coll::CollRegistry::instance();
+  util::SplitMix64 rng(16);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::vector<SelectionTable::Entry>> groups;
+    for (coll::CollKind kind : coll::kAllCollKinds) {
+      const auto algos = reg.list(kind);
+      if (algos.empty()) continue;
+      for (int level = 0; level < adapt::kLevels; ++level) {
+        if (rng.next_below(3) != 0) continue;
+        std::vector<SelectionTable::Entry> group;
+        std::size_t bound = 0;
+        const int bounded = static_cast<int>(rng.next_below(4));
+        for (int i = 0; i <= bounded; ++i) {
+          SelectionTable::Entry e;
+          e.kind = kind;
+          e.level = level;
+          bound += 1 + rng.next_below(1u << 20);
+          e.max_bytes =
+              i == bounded ? std::numeric_limits<std::size_t>::max() : bound;
+          const coll::CollDescriptor* d = algos[rng.next_below(algos.size())];
+          e.spec.algo = d->name;
+          if (d->caps.uses_leaders && rng.next_below(2) != 0) {
+            e.spec.leaders = static_cast<int>(rng.next_in(1, 64));
+            e.spec.pipeline_k = static_cast<int>(rng.next_in(1, 8));
+          }
+          group.push_back(e);
+        }
+        groups.push_back(group);
+      }
+    }
+    std::vector<SelectionTable::Entry> entries;
+    for (std::size_t left = groups.size(); left > 0;) {
+      auto& g = groups[rng.next_below(groups.size())];
+      if (g.empty()) continue;
+      entries.push_back(g.front());
+      g.erase(g.begin());
+      if (g.empty()) --left;
+    }
+    if (entries.empty()) continue;
+    const SelectionTable t(entries);
+    const std::string text = t.serialize();
+    const SelectionTable back = SelectionTable::parse(text);
+    ASSERT_EQ(back.entries().size(), entries.size()) << text;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const SelectionTable::Entry& a = entries[i];
+      const SelectionTable::Entry& b = back.entries()[i];
+      EXPECT_EQ(b.kind, a.kind) << i << "\n" << text;
+      EXPECT_EQ(b.level, a.level) << i << "\n" << text;
+      EXPECT_EQ(b.max_bytes, a.max_bytes) << i << "\n" << text;
+      EXPECT_EQ(b.spec.algo, a.spec.algo) << i << "\n" << text;
+      EXPECT_EQ(b.spec.leaders, a.spec.leaders) << i << "\n" << text;
+      EXPECT_EQ(b.spec.pipeline_k, a.spec.pipeline_k) << i << "\n" << text;
+    }
+    EXPECT_EQ(back.serialize(), text);
+  }
+}
+
 TEST(AdaptTableTest, RecordReplacesTheCatchAllAndIsStable) {
-  adapt::AdaptiveTable t = adapt::AdaptiveTable::defaults();
+  SelectionTable t = SelectionTable::defaults();
   coll::CollSpec spec;
   spec.algo = "ring";
   spec.leaders = 1;
@@ -151,7 +250,7 @@ TEST(AdaptTableTest, RecordReplacesTheCatchAllAndIsStable) {
   ASSERT_NE(e2, nullptr);
   EXPECT_EQ(e2->spec.leaders, 16);
   // The round-tripped table preserves the recorded entries.
-  const adapt::AdaptiveTable back = adapt::AdaptiveTable::parse(t.serialize());
+  const SelectionTable back = SelectionTable::parse(t.serialize());
   EXPECT_EQ(back.select(coll::CollKind::allreduce, 1 << 20, 2)->spec.leaders,
             16);
 }
@@ -160,7 +259,7 @@ TEST(AdaptTableTest, RecordReplacesTheCatchAllAndIsStable) {
 // The Replanner state machine: hand-computed plan trajectory.
 
 TEST(AdaptReplanTest, PlanFollowsTheLevelAndCountsChanges) {
-  const adapt::AdaptiveTable t = adapt::AdaptiveTable::defaults();
+  const SelectionTable t = SelectionTable::defaults();
   adapt::Replanner rp(&t, coll::CollKind::allreduce, {"ring", 1}, 262144);
   EXPECT_EQ(rp.plan().algo, "ring");
   // Quiet window: level 0, no default entry, static plan stays.
@@ -188,7 +287,7 @@ TEST(AdaptReplanTest, PlanFollowsTheLevelAndCountsChanges) {
 }
 
 TEST(AdaptReplanTest, StaleMarkForcesReselectionAtTheSameLevel) {
-  const adapt::AdaptiveTable t = adapt::AdaptiveTable::defaults();
+  const SelectionTable t = SelectionTable::defaults();
   adapt::Replanner rp(&t, coll::CollKind::allreduce, {"ring", 1}, 262144);
   // A failure event mid-run: the degraded signal classifies level 1 and the
   // stale mark guarantees re-selection even though the level was already 1.
@@ -269,8 +368,7 @@ TEST(AdaptReplanTest, HotLinkFlipsThePlanToMoreChannelsAndWins) {
   EXPECT_LT(ad.jobs[0].makespan_us, st.jobs[0].makespan_us);
   // The run's observations persist into the returned table: the static plan
   // at level 0 plus the congested plan at the observed level.
-  const adapt::AdaptiveTable learned =
-      adapt::AdaptiveTable::parse(ad.adapt_table);
+  const SelectionTable learned = SelectionTable::parse(ad.adapt_table);
   const auto* quiet = learned.select(coll::CollKind::allreduce, 262144, 0);
   ASSERT_NE(quiet, nullptr);
   EXPECT_EQ(quiet->spec.algo, "ring");
@@ -387,7 +485,7 @@ TEST(AdaptValidateTest, RejectsTablesWithUnusableEntries) {
   opt.adapt = true;
   // dpml is world-only: a tenant slice cannot run it, so a table that would
   // select it under contention is rejected up front, not at iteration 3.
-  opt.table = adapt::AdaptiveTable::parse("@c1 * dpml 4\n");
+  opt.table = SelectionTable::parse("@c1 * dpml 4\n");
   EXPECT_THROW((void)tenant::run_tenants(cfg, 2, jobs, opt),
                util::InvariantError);
 }

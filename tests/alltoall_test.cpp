@@ -16,6 +16,13 @@ namespace {
 using simmpi::Machine;
 using simmpi::Rank;
 
+// Timing-only machine options: no payload buffers, default seed.
+simmpi::RunOptions no_data() {
+  simmpi::RunOptions o;
+  o.with_data = false;
+  return o;
+}
+
 std::vector<std::byte> block_pattern(int from, int to, std::size_t bytes) {
   std::vector<std::byte> v(bytes);
   for (std::size_t i = 0; i < bytes; ++i) {
@@ -200,7 +207,7 @@ TEST(Vcoll, SizeVectorLengthChecked) {
 // SHArP barrier and bcast
 
 TEST(SharpExtra, BarrierReleasesAfterLastArrival) {
-  Machine m(net::test_cluster(4), 4, 4, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(4), 4, 4, no_data());
   sharp::SharpFabric f(m);
   std::vector<sim::Time> exits(static_cast<std::size_t>(m.world_size()));
   const sim::Time skew = sim::us(40.0);
@@ -219,7 +226,7 @@ TEST(SharpExtra, BarrierReleasesAfterLastArrival) {
 TEST(SharpExtra, BarrierFasterThanDisseminationAtScale) {
   auto run = [](bool use_sharp) {
     auto cfg = net::cluster_a();
-    Machine m(cfg, 16, 28, simmpi::RunOptions{false, 1});
+    Machine m(cfg, 16, 28, no_data());
     sharp::SharpFabric f(m);
     m.run([&, use_sharp](Rank& r) -> sim::CoTask<void> {
       BarrierArgs a;

@@ -8,6 +8,8 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -51,6 +53,16 @@ class DpmlsimCliTest : public ::testing::Test {
 
   fs::path dir_;
 };
+
+void write_file(const fs::path& path, const std::string& text) {
+  std::ofstream(path) << text;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  return text.str();
+}
 
 constexpr const char* kLatency =
     "latency --cluster test --nodes 2 --ppn 2 --sizes 64:64 ";
@@ -172,6 +184,75 @@ TEST_F(DpmlsimCliTest, BadSharedFlagsNameTheFlagBeforeTheRun) {
     EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
     EXPECT_EQ(r.output.find("shared run"), std::string::npos) << r.output;
   }
+}
+
+TEST_F(DpmlsimCliTest, TableWithoutTheRequestedKindIsRejectedBeforeTheRun) {
+  write_file(dir_ / "reduce.txt", "reduce * dpml 2\n");
+  const CliRun r =
+      run_dpmlsim(dir_, std::string(kLatency) + "--table reduce.txt");
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("dpmlsim: --table reduce.txt: selection table has "
+                          "no entries for allreduce"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+  // The same table serves the kind it names.
+  const CliRun ok = run_dpmlsim(
+      dir_, std::string(kLatency) + "--collective reduce --table reduce.txt");
+  EXPECT_EQ(ok.status, 0) << ok.output;
+  EXPECT_NE(ok.output.find("dpml(l=2)"), std::string::npos) << ok.output;
+}
+
+TEST_F(DpmlsimCliTest, MalformedTableLineIsQuotedBeforeTheRun) {
+  write_file(dir_ / "bad.txt", "<=-1 rd\n* ring\n");
+  const CliRun r = run_dpmlsim(dir_, std::string(kLatency) + "--table bad.txt");
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("dpmlsim: --table bad.txt: selection table: "),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("'<=-1 rd'"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+}
+
+TEST_F(DpmlsimCliTest, UnwritableAdaptTableFailsBeforeTheRun) {
+  const CliRun r = run_dpmlsim(
+      dir_, std::string(kTenants) + "--adapt-table nosuch/table.txt");
+  EXPECT_EQ(r.status, 1) << r.output;
+  EXPECT_NE(r.output.find("dpmlsim: --adapt-table: cannot write "
+                          "nosuch/table.txt"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("shared run"), std::string::npos) << r.output;
+  EXPECT_TRUE(fs::is_empty(dir_));
+}
+
+// The write probe neither leaves an empty table behind (a later run would
+// fail to parse it) nor truncates an existing one. The runs below fail
+// after the probe, because adaptation needs the link fabric.
+TEST_F(DpmlsimCliTest, AdaptTableProbeKeepsTheFileAsItWas) {
+  const std::string failing =
+      "--cluster test --nodes 4 --ppn 2 --tenants 2 --fabric none "
+      "--adapt-table table.txt";
+  const CliRun fresh = run_dpmlsim(dir_, failing);
+  EXPECT_EQ(fresh.status, 1) << fresh.output;
+  EXPECT_NE(fresh.output.find("needs the flow fabric"), std::string::npos)
+      << fresh.output;
+  EXPECT_TRUE(fs::is_empty(dir_));
+
+  const std::string table = "@c1 * cring 2\n";
+  write_file(dir_ / "table.txt", table);
+  const CliRun kept = run_dpmlsim(dir_, failing);
+  EXPECT_EQ(kept.status, 1) << kept.output;
+  EXPECT_EQ(read_file(dir_ / "table.txt"), table);
+
+  // A run that succeeds writes the updated table.
+  const CliRun ok =
+      run_dpmlsim(dir_, std::string(kTenants) + "--adapt-table table.txt");
+  EXPECT_EQ(ok.status, 0) << ok.output;
+  EXPECT_NE(read_file(dir_ / "table.txt").find("@c1 *  cring 2 1"),
+            std::string::npos);
 }
 
 }  // namespace

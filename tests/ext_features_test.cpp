@@ -123,10 +123,10 @@ TEST(Selection, SelectRespectsThresholds) {
   rest.spec.algo = "dpml";
   rest.spec.leaders = 16;
   core::SelectionTable t({small, mid, rest});
-  EXPECT_EQ(t.select(core::CollKind::allreduce, 4).algo, "rd");
-  EXPECT_EQ(t.select(core::CollKind::allreduce, 1024).algo, "rd");
-  EXPECT_EQ(t.select(core::CollKind::allreduce, 1025).leaders, 4);
-  EXPECT_EQ(t.select(core::CollKind::allreduce, 1 << 20).leaders, 16);
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 4)->spec.algo, "rd");
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1024)->spec.algo, "rd");
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1025)->spec.leaders, 4);
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1 << 20)->spec.leaders, 16);
 }
 
 TEST(Selection, SerializeParseRoundTrip) {
@@ -137,11 +137,12 @@ TEST(Selection, SerializeParseRoundTrip) {
       "*  dpml 16 4\n";
   const auto t = core::SelectionTable::parse(text);
   ASSERT_EQ(t.entries().size(), 3u);
-  EXPECT_EQ(t.select(core::CollKind::allreduce, 100).algo, "sharp-socket-leader");
-  EXPECT_EQ(t.select(core::CollKind::allreduce, 1 << 20).pipeline_k, 4);
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 100)->spec.algo,
+            "sharp-socket-leader");
+  EXPECT_EQ(t.select(core::CollKind::allreduce, 1 << 20)->spec.pipeline_k, 4);
   const auto again = core::SelectionTable::parse(t.serialize());
   EXPECT_EQ(again.entries().size(), t.entries().size());
-  EXPECT_EQ(again.select(core::CollKind::allreduce, 4096).leaders, 8);
+  EXPECT_EQ(again.select(core::CollKind::allreduce, 4096)->spec.leaders, 8);
 }
 
 TEST(Selection, RejectsMalformedTables) {
@@ -166,8 +167,8 @@ TEST(Selection, TunedTableIsOrderedAndUsable) {
       core::CollKind::allreduce, cfg, 8, 28, {256, 16384, 262144}, opt);
   ASSERT_FALSE(t.empty());
   // Larger probes should never select fewer leaders than the small probe.
-  EXPECT_LE(t.select(core::CollKind::allreduce, 64).leaders,
-            t.select(core::CollKind::allreduce, 262144).leaders);
+  EXPECT_LE(t.select(core::CollKind::allreduce, 64)->spec.leaders,
+            t.select(core::CollKind::allreduce, 262144)->spec.leaders);
 }
 
 TEST(Selection, DispatcherRunsThroughTable) {

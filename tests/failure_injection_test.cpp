@@ -15,8 +15,15 @@ using simmpi::Machine;
 using simmpi::Rank;
 using sim::CoTask;
 
+// Timing-only machine options: no payload buffers, default seed.
+simmpi::RunOptions no_data() {
+  simmpi::RunOptions o;
+  o.with_data = false;
+  return o;
+}
+
 TEST(FailureInjection, TagMismatchIsDetectedAsDeadlock) {
-  Machine m(net::test_cluster(2), 2, 1, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 1, no_data());
   EXPECT_THROW(m.run([&](Rank& r) -> CoTask<void> {
                  if (r.world_rank() == 0) {
                    co_await r.send(m.world(), 1, /*tag=*/1, 64);
@@ -30,7 +37,7 @@ TEST(FailureInjection, TagMismatchIsDetectedAsDeadlock) {
 
 TEST(FailureInjection, MismatchedCollectiveSequenceDeadlocks) {
   // One rank runs a different collective count: detected, not hung.
-  Machine m(net::test_cluster(2), 2, 1, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 1, no_data());
   EXPECT_THROW(m.run([&](Rank& r) -> CoTask<void> {
                  coll::CollArgs a;
                  a.rank = &r;
@@ -62,7 +69,7 @@ TEST(FailureInjection, TruncationInsideUserCodeThrows) {
 }
 
 TEST(FailureInjection, SharpGroupExhaustionSurfaces) {
-  Machine m(net::test_cluster(4), 4, 2, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(4), 4, 2, no_data());
   sharp::SharpFabric f(m);  // test cluster: max_groups = 4
   f.create_group({0, 2});
   f.create_group({0, 4});
@@ -73,7 +80,7 @@ TEST(FailureInjection, SharpGroupExhaustionSurfaces) {
 
 TEST(FailureInjection, CountMismatchAcrossRanksDetected) {
   // Ranks disagree on the vector size: the smaller receiver truncates.
-  Machine m(net::test_cluster(2), 2, 1, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 1, no_data());
   EXPECT_THROW(m.run([&](Rank& r) -> CoTask<void> {
                  coll::CollArgs a;
                  a.rank = &r;
@@ -86,7 +93,7 @@ TEST(FailureInjection, CountMismatchAcrossRanksDetected) {
 }
 
 TEST(FailureInjection, BadLeaderArgumentsThrow) {
-  Machine m(net::test_cluster(2), 2, 2, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 2, no_data());
   EXPECT_THROW((void)m.leader_local_rank(0, 0), util::InvariantError);
   EXPECT_THROW((void)m.leader_local_rank(2, 2), util::InvariantError);
   EXPECT_THROW((void)m.leader_comm(5, 2), util::InvariantError);
@@ -110,7 +117,7 @@ TEST(FailureInjection, MeasureRejectsBadIterationCounts) {
 }
 
 TEST(FailureInjection, ExceptionInOneRankAbortsRunCleanly) {
-  Machine m(net::test_cluster(2), 2, 2, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 2, no_data());
   EXPECT_THROW(m.run([&](Rank& r) -> CoTask<void> {
                  co_await r.compute(sim::us(1.0));
                  if (r.world_rank() == 3) {
@@ -122,7 +129,7 @@ TEST(FailureInjection, ExceptionInOneRankAbortsRunCleanly) {
 }
 
 TEST(FailureInjection, OverlargeShmOffsetRejected) {
-  Machine m(net::test_cluster(2), 2, 2, simmpi::RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 2, no_data());
   EXPECT_THROW(m.run([&](Rank& r) -> CoTask<void> {
                  if (r.world_rank() != 0) co_return;
                  simmpi::ShmWindow w(128, 0, false);

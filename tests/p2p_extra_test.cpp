@@ -8,10 +8,17 @@
 namespace dpml::simmpi {
 namespace {
 
+// Timing-only machine options: no payload buffers, default seed.
+RunOptions no_data() {
+  RunOptions o;
+  o.with_data = false;
+  return o;
+}
+
 TEST(Sendrecv, ExchangesWithoutDeadlock) {
   // Symmetric large-message exchange: plain blocking send+recv would
   // deadlock under rendezvous; sendrecv must not.
-  Machine m(net::test_cluster(2), 2, 1, RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 1, no_data());
   m.run([&](Rank& r) -> sim::CoTask<void> {
     const int peer = 1 - r.world_rank();
     const auto res = co_await r.sendrecv(m.world(), peer, 5, 64 * 1024, peer,
@@ -22,7 +29,7 @@ TEST(Sendrecv, ExchangesWithoutDeadlock) {
 }
 
 TEST(Probe, IprobeSeesOnlyUnconsumedMessages) {
-  Machine m(net::test_cluster(2), 2, 1, RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 1, no_data());
   m.run([&](Rank& r) -> sim::CoTask<void> {
     if (r.world_rank() == 0) {
       co_await r.send(m.world(), 1, 3, 128);
@@ -41,7 +48,7 @@ TEST(Probe, IprobeSeesOnlyUnconsumedMessages) {
 }
 
 TEST(Probe, BlockingProbeWaitsForArrival) {
-  Machine m(net::test_cluster(2), 2, 1, RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 1, no_data());
   sim::Time probed_at = 0;
   m.run([&](Rank& r) -> sim::CoTask<void> {
     if (r.world_rank() == 0) {
@@ -60,7 +67,7 @@ TEST(Probe, BlockingProbeWaitsForArrival) {
 }
 
 TEST(Probe, WildcardProbeReportsEnvelope) {
-  Machine m(net::test_cluster(2), 2, 2, RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 2, no_data());
   m.run([&](Rank& r) -> sim::CoTask<void> {
     if (r.world_rank() == 1) {
       co_await r.send(m.world(), 3, 42, 8);
@@ -99,7 +106,7 @@ TEST(SplitComm, UndefinedColorYieldsNullComm) {
 }
 
 TEST(SplitComm, SplitCommIsUsableForCollectives) {
-  Machine m(net::test_cluster(2), 2, 2, RunOptions{false, 1});
+  Machine m(net::test_cluster(2), 2, 2, no_data());
   const std::vector<int> colors{0, 1, 0, 1};
   const std::vector<int> keys{0, 0, 1, 1};
   m.run([&](Rank& r) -> sim::CoTask<void> {
@@ -160,7 +167,9 @@ TEST(Replay, ExampleTraceRunsUnderAllDesigns) {
     EXPECT_EQ(r.ops, static_cast<int>(trace.size()));
     EXPECT_GT(r.comm_s, 0.0);
     EXPECT_GT(r.total_s, r.comm_s);
-    if (prev > 0) EXPECT_LT(r.comm_s, prev);  // dpml-auto beats mvapich2
+    if (prev > 0) {
+      EXPECT_LT(r.comm_s, prev);  // dpml-auto beats mvapich2
+    }
     prev = r.comm_s;
   }
 }

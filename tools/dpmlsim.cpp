@@ -18,6 +18,7 @@
 //   dpmlsim throughput --cluster C --pairs 8
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -37,7 +38,6 @@
 #include "mc/explore.hpp"
 #include "mc/probes.hpp"
 #include "model/fit.hpp"
-#include "adapt/adapt.hpp"
 #include "perturb/spec.hpp"
 #include "net/cluster.hpp"
 #include "sim/dataplane.hpp"
@@ -381,6 +381,19 @@ core::MeasureOptions measure_opts(const util::Args& args) {
   return opt;
 }
 
+// The selection table in `path` (already opened as `in`), read for --flag:
+// a parse error names the flag and the file.
+core::SelectionTable read_table(const std::string& flag,
+                                const std::string& path, std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return core::SelectionTable::parse(text.str());
+  } catch (const util::InvariantError& e) {
+    throw util::InvariantError("--" + flag + " " + path + ": " + e.what());
+  }
+}
+
 // --algo: a registered algorithm of `kind`. An unknown name fails here,
 // before any simulation, naming the flag and listing the registered ones.
 std::string algo_flag(const util::Args& args, core::CollKind kind,
@@ -412,9 +425,14 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
       std::cerr << "cannot open selection table " << table_path << "\n";
       return 1;
     }
-    std::stringstream ss;
-    ss << is.rdbuf();
-    table = core::SelectionTable::parse(ss.str());
+    table = read_table("table", table_path, is);
+    // Checked before the sweep: without level-0 entries for the requested
+    // kind the table has nothing to dispatch.
+    if (table->select(kind, 0) == nullptr) {
+      throw util::InvariantError("--table " + table_path +
+                                 ": selection table has no entries for " +
+                                 coll::coll_kind_name(kind));
+    }
   }
   const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
   const core::MeasureOptions opt = measure_opts(args);
@@ -438,7 +456,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   PerfAgg agg;
   agg.data_mode = sim::data_mode_name(opt.data_mode);
   for (std::size_t bytes : sizes) {
-    const core::CollSpec used = table ? table->select(kind, bytes) : spec;
+    const core::CollSpec used = table ? table->select(kind, bytes)->spec : spec;
     const auto r =
         core::measure_collective(kind, cfg, nodes, ppn, bytes, used, opt);
     t.row()
@@ -784,11 +802,16 @@ int cmd_tenants(const util::Args& args, const net::ClusterConfig& cfg,
   if (!adapt_table_path.empty()) {
     opt.adapt = true;
     std::ifstream in(adapt_table_path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      opt.table = adapt::AdaptiveTable::parse(text.str());
+    const bool existed = static_cast<bool>(in);
+    if (existed) opt.table = read_table("adapt-table", adapt_table_path, in);
+    // Probe the output path before the run. Appending does not truncate an
+    // existing table, and a probe-created file is removed again: left
+    // behind empty, it would fail the next run's parse.
+    if (!std::ofstream(adapt_table_path, std::ios::app)) {
+      throw util::InvariantError("--adapt-table: cannot write " +
+                                 adapt_table_path);
     }
+    if (!existed) std::remove(adapt_table_path.c_str());
   }
   std::vector<tenant::JobSpec> jobs = tenant::default_jobs(njobs, cfg, nodes);
   if (args.has("tenant-iters")) {
