@@ -14,8 +14,9 @@ commands:
       wildly across runners, so the exit code is always 0 — the output is
       for humans reading the CI log. Snapshots from tools or entries that
       carry no events_per_sec (e.g. dpmlsim tenants, which reports fabric
-      metadata instead) are listed and skipped, never treated as a -100%
-      regression; unknown extra fields are ignored.
+      metadata instead) skip the throughput comparison, never treated as a
+      -100% regression, and still print their deterministic counters;
+      unknown extra fields are ignored.
 
   append BENCH_perf.json NEW.json [NEW2.json ...] [--label TEXT]
       Append the snapshots to the trajectory array in place (converting a
@@ -28,6 +29,14 @@ Only the python3 standard library is used.
 import argparse
 import json
 import sys
+
+
+# Snapshot fields printed old -> new under each compared snapshot.
+FIELDS = ("events", "peak_queue_depth", "peak_rss_kb", "elided_bytes",
+          "fabric_flows", "max_link_util", "fabric_recomputes",
+          "fabric_fill_rounds", "fabric_completions_superseded",
+          "fabric_solved_flows", "fabric_live_flows", "fabric_closure_merges",
+          "fabric_fill_visits")
 
 
 def load(path):
@@ -66,18 +75,16 @@ def cmd_delta(args):
         new_eps = new.get("events_per_sec", 0)
         if old_eps <= 0 or new_eps <= 0:
             which = "baseline" if old_eps <= 0 else "snapshot"
-            print(f"[perf-delta] {tag}: {which} has no events/sec; skipped")
-            continue
-        change = (new_eps - old_eps) / old_eps * 100.0
-        worst = min(worst, change)
-        mark = "REGRESSION" if change < -args.threshold else "ok"
-        print(f"[perf-delta] {tag}: {old_eps} -> {new_eps} events/sec "
-              f"({change:+.1f}%) {mark}")
-        for field in ("events", "peak_queue_depth", "peak_rss_kb",
-                      "elided_bytes", "fabric_flows", "max_link_util",
-                      "fabric_recomputes", "fabric_completions_superseded",
-                      "fabric_solved_flows", "fabric_live_flows",
-                      "fabric_closure_merges"):
+            print(f"[perf-delta] {tag}: {which} has no events/sec; "
+                  "throughput skipped")
+        else:
+            change = (new_eps - old_eps) / old_eps * 100.0
+            worst = min(worst, change)
+            mark = "REGRESSION" if change < -args.threshold else "ok"
+            print(f"[perf-delta] {tag}: {old_eps} -> {new_eps} events/sec "
+                  f"({change:+.1f}%) {mark}")
+        # Deterministic counters print either way: they need no clock.
+        for field in FIELDS:
             if field in new or field in old:
                 print(f"[perf-delta]   {field}: {old.get(field, '-')} -> "
                       f"{new.get(field, '-')}")

@@ -48,27 +48,39 @@ SelectionTable::SelectionTable(std::vector<Entry> entries)
 }
 
 void SelectionTable::validate() const {
-  DPML_CHECK_MSG(!entries_.empty(), "selection table has no entries");
+  // Shape errors come from user input (--table, --adapt-table), so they
+  // name the offending (kind, level) and the rule it breaks.
+  if (entries_.empty()) {
+    throw util::InvariantError("selection table has no entries");
+  }
   // Per (kind, level): thresholds strictly ascending, catch-all present and
   // last. Pairs may interleave freely in the entry list.
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    DPML_CHECK_MSG(it->level >= 0 && it->level < kContentionLevels,
-                   "selection table level out of range [0, " +
-                       std::to_string(kContentionLevels) +
-                       "): " + std::to_string(it->level));
+    const std::string where = std::string("selection table (") +
+                              coll::coll_kind_name(it->kind) + ", @c" +
+                              std::to_string(it->level) + "): ";
+    if (it->level < 0 || it->level >= kContentionLevels) {
+      throw util::InvariantError(where + "contention level must lie in [0, " +
+                                 std::to_string(kContentionLevels) + ")");
+    }
     const auto next =
         std::find_if(it + 1, entries_.end(), [&](const Entry& e) {
           return e.kind == it->kind && e.level == it->level;
         });
     if (next == entries_.end()) {
-      DPML_CHECK_MSG(it->max_bytes == kCatchAll,
-                     "every populated (kind, level) needs a catch-all entry");
-    } else {
-      DPML_CHECK_MSG(it->max_bytes != kCatchAll,
-                     "catch-all entry must be last per (kind, level)");
-      DPML_CHECK_MSG(it->max_bytes < next->max_bytes,
-                     "selection thresholds must be strictly ascending per "
-                     "(kind, level)");
+      if (it->max_bytes != kCatchAll) {
+        throw util::InvariantError(
+            where + "the last entry must be the catch-all '*', got <=" +
+            std::to_string(it->max_bytes));
+      }
+    } else if (it->max_bytes == kCatchAll) {
+      throw util::InvariantError(where +
+                                 "the catch-all '*' must be its last entry");
+    } else if (it->max_bytes >= next->max_bytes) {
+      throw util::InvariantError(
+          where + "size bounds must strictly ascend, got <=" +
+          std::to_string(it->max_bytes) + " before <=" +
+          std::to_string(next->max_bytes));
     }
   }
 }

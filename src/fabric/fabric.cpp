@@ -533,15 +533,19 @@ void FlowFabric::fill(sim::Time now) {
       comp_parent_[c] = static_cast<int>(c);
     }
   }
-  unfrozen_.clear();
-  for (Slot s : set_flows_) {
-    slots_[s].rate = -1.0;  // unfrozen
-    unfrozen_.push_back(s);
+  double min_cap = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < set_flows_.size(); ++i) {
+    Flow& f = slots_[set_flows_[i]];
+    f.rate = -1.0;  // unfrozen
+    f.pos = static_cast<std::uint32_t>(i);
+    min_cap = std::min(min_cap, f.cap);
   }
   open_.clear();
   for (int id : set_links_) {
     Link& l = links_[static_cast<std::size_t>(id)];
     l.load = 0.0;
+    l.sum_base = 0.0;
+    l.sum_at = 0;
     l.nflows = static_cast<int>(l.members.size());
     // Only a link carrying flows has an observable capacity: an idle link
     // contributes zero load to every statistic.
@@ -553,14 +557,23 @@ void FlowFabric::fill(sim::Time now) {
 
   // Progressive filling: raise one shared water level across all unfrozen
   // flows; each round freezes every flow on a newly-saturated link (at the
-  // link's fair share) or at its own rate cap, whichever binds first. The
-  // level and freeze scans are order-independent, so they visit only the
-  // unfrozen flows and the links still carrying one. A link's load is
-  // re-summed over its members in id order whenever one of them freezes, so
-  // the floating-point sums — and the rates — equal a full rescan's; its
-  // fair share changes only then, so it is cached.
+  // link's fair share) or at its own rate cap, whichever binds first. Every
+  // link of an unfrozen flow is open, so the flows that freeze are exactly
+  // the unfrozen members of open links whose share lies in the freeze
+  // window, plus the unfrozen flows whose cap does. Caps are read through a
+  // cursor sorted by cap, built only once the window reaches the smallest
+  // cap of the set: before that no cap can set the level or freeze a flow.
+  // A link's load is re-summed over its members in id order whenever one of
+  // them freezes, resuming after its all-frozen prefix, so the
+  // floating-point sums — and the rates — equal a full rescan's; its fair
+  // share changes only then, so it is cached.
+  by_cap_.clear();
+  bool capped = false;  // the cap cursor is built
+  std::size_t cap_at = 0;
+  std::size_t left = set_flows_.size();
+  std::uint64_t visits = 0;
   std::uint32_t round = 0;
-  while (!unfrozen_.empty()) {
+  while (left > 0) {
     ++stats_.fill_rounds;
     ++round;
     // Links whose flows all froze last round leave open_ here.
@@ -573,42 +586,74 @@ void FlowFabric::fill(sim::Time now) {
       level = std::min(level, l.share);
     }
     open_.resize(keep);
-    for (Slot s : unfrozen_) level = std::min(level, slots_[s].cap);
+    if (!capped && level * (1.0 + kRelEps) + 1.0 >= min_cap) {
+      capped = true;
+      for (Slot s : set_flows_) {
+        if (slots_[s].rate < 0.0) by_cap_.push_back(s);
+      }
+      std::sort(by_cap_.begin(), by_cap_.end(), [this](Slot x, Slot y) {
+        return slots_[x].cap < slots_[y].cap ||
+               (slots_[x].cap == slots_[y].cap && slots_[x].pos < slots_[y].pos);
+      });
+      visits += by_cap_.size();
+    }
+    if (capped) {
+      for (; cap_at < by_cap_.size() && slots_[by_cap_[cap_at]].rate >= 0.0;
+           ++cap_at) {
+        ++visits;
+      }
+      if (cap_at < by_cap_.size()) {
+        level = std::min(level, slots_[by_cap_[cap_at]].cap);
+      }
+    }
     DPML_CHECK(level >= 0.0 && std::isfinite(level));
     const double freeze_at = level * (1.0 + kRelEps) + 1.0;
     frozen_.clear();
     suspects_.clear();
     int source = -1;  // a component whose own minimum is the level
-    std::size_t still = 0;
-    for (Slot s : unfrozen_) {
+    std::uint32_t source_pos = 0;
+    const auto freeze = [&](Slot s) {
       Flow& f = slots_[s];
-      bool frozen = f.cap <= freeze_at;
-      for (int i = 0; i < f.nlinks && !frozen; ++i) {
-        const Link& l = links_[static_cast<std::size_t>(f.links[i])];
-        frozen = l.share <= freeze_at;
+      f.rate = std::min(level, f.cap);
+      frozen_.push_back(s);
+      if (!track) return;
+      // A component reached the level itself iff one of its freezing flows
+      // has its cap or a link share exactly at it. The level's source is
+      // the component of the last such flow in set order.
+      bool exact = f.cap == level;
+      for (int i = 0; i < f.nlinks && !exact; ++i) {
+        exact = links_[static_cast<std::size_t>(f.links[i])].share == level;
       }
-      if (frozen) {
-        f.rate = std::min(level, f.cap);
-        frozen_.push_back(s);
-        if (track) {
-          // A component reached the level itself iff one of its freezing
-          // flows has its cap or a link share exactly at it.
-          bool exact = f.cap == level;
-          for (int i = 0; i < f.nlinks && !exact; ++i) {
-            exact = links_[static_cast<std::size_t>(f.links[i])].share == level;
-          }
-          if (exact) {
-            comp_hit_[static_cast<std::size_t>(f.comp)] = round;
-            source = f.comp;
-          } else {
-            suspects_.push_back(f.comp);
-          }
-        }
-      } else {
-        unfrozen_[still++] = s;
+      if (!exact) {
+        suspects_.push_back(f.comp);
+        return;
+      }
+      comp_hit_[static_cast<std::size_t>(f.comp)] = round;
+      if (source < 0 || f.pos > source_pos) {
+        source = f.comp;
+        source_pos = f.pos;
+      }
+    };
+    for (int id : open_) {
+      const Link& l = links_[static_cast<std::size_t>(id)];
+      if (l.share > freeze_at) continue;
+      for (std::size_t k = l.sum_at; k < l.members.size(); ++k) {
+        if (slots_[l.members[k]].rate < 0.0) freeze(l.members[k]);
+      }
+      visits += l.members.size() - l.sum_at;
+    }
+    if (capped) {
+      for (; cap_at < by_cap_.size() &&
+             slots_[by_cap_[cap_at]].cap <= freeze_at;
+           ++cap_at) {
+        ++visits;
+        if (slots_[by_cap_[cap_at]].rate < 0.0) freeze(by_cap_[cap_at]);
       }
     }
-    unfrozen_.resize(still);
+    // The level is an open link's share or an unfrozen flow's cap, so
+    // every round freezes a flow.
+    DPML_CHECK(!frozen_.empty());
+    left -= frozen_.size();
     // A component that froze flows at a level it did not reach is coupled
     // to the one that set the level.
     for (int c : suspects_) {
@@ -637,14 +682,23 @@ void FlowFabric::fill(sim::Time now) {
     for (int id : dirty_) {
       Link& l = links_[static_cast<std::size_t>(id)];
       l.dirty = false;
-      l.load = 0.0;
-      for (Slot m : l.members) {
-        const Flow& f = slots_[m];
-        if (f.rate >= 0.0) l.load += f.rate;
+      // Extend the all-frozen prefix, then add the rest; an unfrozen member
+      // adds +0.0, which leaves a sum of non-negative rates unchanged.
+      const std::size_t n = l.members.size();
+      visits += n - l.sum_at;
+      std::size_t k = l.sum_at;
+      double load = l.sum_base;
+      for (; k < n && slots_[l.members[k]].rate >= 0.0; ++k) {
+        load += slots_[l.members[k]].rate;
       }
+      l.sum_at = static_cast<std::uint32_t>(k);
+      l.sum_base = load;
+      for (; k < n; ++k) load += std::max(slots_[l.members[k]].rate, 0.0);
+      l.load = load;
       if (l.nflows > 0) l.share = (l.cap - l.load) / l.nflows;
     }
   }
+  stats_.fill_visits += visits;
 
   // Final per-link flow counts (everything is frozen now; the filling loop
   // left nflows at zero).

@@ -24,7 +24,10 @@
 // lists from the starting or finishing flow's links collects its
 // link-connected component. Max-min filling raises one water level across all
 // unfrozen flows and freezes everything within a relative window of it
-// (kRelEps), so two components whose levels lie inside that window couple: the
+// (kRelEps): the unfrozen members of links whose share lies in the window and,
+// through a lazily built cursor sorted by cap, the flows whose cap does; a
+// link's load is re-summed in id order from a cached all-frozen prefix. Two
+// components whose levels lie inside that window couple: the
 // higher one freezes at the lower one's level, a few ulps below its own. A
 // flow that froze at a level its own component did not reach is *entangled*
 // with the component that set the level; the next solve touching either takes
@@ -110,6 +113,9 @@ struct FabricStats {
   std::uint64_t solved_flows = 0;  // flows re-solved, summed over solves
   std::uint64_t live_flows = 0;    // live flows, summed over recomputes
   std::uint64_t closure_merges = 0;  // components joined by the closure rule
+  // Filling work: members visited on saturated links, cap-cursor entries
+  // and steps, and members re-summed into link loads.
+  std::uint64_t fill_visits = 0;
 
   FabricStats& operator+=(const FabricStats& o) {
     recomputes += o.recomputes;
@@ -119,6 +125,7 @@ struct FabricStats {
     solved_flows += o.solved_flows;
     live_flows += o.live_flows;
     closure_merges += o.closure_merges;
+    fill_visits += o.fill_visits;
     return *this;
   }
 };
@@ -247,8 +254,12 @@ class FlowFabric {
     double share = 0.0;      // (cap - load) / nflows while filling
     double load = 0.0;       // sum of flow rates, bytes/s (last solve)
     double cap = 0.0;        // scaled capacity, bytes/s (last solve)
-    std::uint64_t mark = 0;  // epoch of the solve set holding it
+    // While filling, members[0, sum_at) are all frozen and sum_base is
+    // their rates folded from 0.0 in id order: a re-sum resumes there.
+    double sum_base = 0.0;
+    std::uint32_t sum_at = 0;
     int nflows = 0;          // unfrozen members while filling, then all
+    std::uint64_t mark = 0;  // epoch of the solve set holding it
     bool dirty = false;      // load needs re-summing this filling round
     bool down = false;       // failed ECMP way (carries no flows)
     int active_at = -1;      // position in active_, -1 while idle
@@ -266,6 +277,7 @@ class FlowFabric {
     int links[4] = {0, 0, 0, 0};
     int nlinks = 0;
     int comp = -1;             // its component within that set
+    std::uint32_t pos = 0;     // its position in that set's flow list
     std::uint32_t tangle = 0;  // entanglement group + 1, 0 when solo
     double rate = 0.0;       // bytes/s: the level it froze at
     double cap = 0.0;        // bytes/s rate ceiling
@@ -349,7 +361,7 @@ class FlowFabric {
   bool coupled_ = false;                   // the last fill coupled components
   std::vector<int> closed_;  // set links whose congestion interval closed
   std::vector<int> open_;  // set links still carrying an unfrozen flow
-  std::vector<Slot> unfrozen_;
+  std::vector<Slot> by_cap_;  // the cap cursor: unfrozen flows by rate cap
   std::vector<Slot> frozen_;
   std::vector<int> dirty_;
   FlowId next_id_ = 0;

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
+#include <string_view>
 #include <system_error>
 
 #include "util/error.hpp"
@@ -90,18 +92,25 @@ std::string Args::get_file(const std::string& key) const {
 }
 
 std::size_t Args::parse_bytes(const std::string& text) {
-  DPML_CHECK_MSG(!text.empty(), "empty size");
   std::size_t mult = 1;
-  std::string digits = text;
-  const char suffix =
-      static_cast<char>(std::toupper(static_cast<unsigned char>(text.back())));
+  std::string_view digits = text;
+  const char suffix = text.empty() ? '\0'
+                                   : static_cast<char>(std::toupper(
+                                         static_cast<unsigned char>(text.back())));
   if (suffix == 'K' || suffix == 'M' || suffix == 'G') {
     mult = suffix == 'K' ? (1ull << 10)
                          : suffix == 'M' ? (1ull << 20) : (1ull << 30);
-    digits.pop_back();
+    digits.remove_suffix(1);
   }
-  DPML_CHECK_MSG(!digits.empty(), "bad size: " + text);
-  return std::stoull(digits) * mult;
+  std::size_t v = 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, v);
+  if (digits.empty() || ec != std::errc() || ptr != end ||
+      v > std::numeric_limits<std::size_t>::max() / mult) {
+    throw InvariantError("bad size '" + text +
+                         "' (want BYTES with an optional K, M or G suffix)");
+  }
+  return v * mult;
 }
 
 std::size_t Args::get_bytes(const std::string& key, std::size_t def) const {
@@ -121,15 +130,30 @@ std::vector<std::size_t> Args::parse_size_range(const std::string& text) {
     }
   }
   parts.push_back(cur);
-  DPML_CHECK_MSG(parts.size() == 2 || parts.size() == 3,
-                 "size range must be lo:hi[:factor]: " + text);
+  if (parts.size() != 2 && parts.size() != 3) {
+    throw InvariantError("size range must be LO:HI[:FACTOR], got '" + text +
+                         "'");
+  }
   const std::size_t lo = parse_bytes(parts[0]);
   const std::size_t hi = parse_bytes(parts[1]);
-  const std::size_t factor =
-      parts.size() == 3 ? std::stoull(parts[2]) : 4;
-  DPML_CHECK_MSG(lo >= 1 && hi >= lo && factor >= 2, "bad size range: " + text);
+  std::size_t factor = 4;
+  if (parts.size() == 3) {
+    const std::string& f = parts[2];
+    const auto [ptr, ec] = std::from_chars(f.data(), f.data() + f.size(), factor);
+    if (f.empty() || ec != std::errc() || ptr != f.data() + f.size()) {
+      throw InvariantError("size range '" + text +
+                           "' has a non-integer FACTOR '" + f + "'");
+    }
+  }
+  if (lo < 1 || hi < lo || factor < 2) {
+    throw InvariantError("size range '" + text +
+                         "' needs 1 <= LO <= HI and FACTOR >= 2");
+  }
   std::vector<std::size_t> out;
-  for (std::size_t b = lo; b <= hi; b *= factor) out.push_back(b);
+  for (std::size_t b = lo;; b *= factor) {
+    out.push_back(b);
+    if (b > hi / factor) break;  // the next step passes hi (or overflows)
+  }
   return out;
 }
 

@@ -33,11 +33,13 @@ class Args {
   // "--key" parses as the boolean "true", which must not become a file.
   std::string get_file(const std::string& key) const;
 
-  // Parse a byte size with optional K/M/G suffix ("64K" -> 65536).
+  // Parse a byte size with optional K/M/G suffix ("64K" -> 65536). Throws
+  // util::InvariantError quoting the text when it is not one.
   static std::size_t parse_bytes(const std::string& text);
   std::size_t get_bytes(const std::string& key, std::size_t def) const;
 
   // Parse a size range "4:1M[:4]" (lo:hi[:factor]) into a geometric sweep.
+  // Throws util::InvariantError quoting the text when it is not one.
   static std::vector<std::size_t> parse_size_range(const std::string& text);
 
   // Keys that were provided but never queried (typo detection).

@@ -186,6 +186,60 @@ TEST_F(DpmlsimCliTest, BadSharedFlagsNameTheFlagBeforeTheRun) {
   }
 }
 
+TEST_F(DpmlsimCliTest, BadLatencyFlagsNameTheFlagBeforeTheRun) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"latency --cluster test --nodes 2 --ppn 2 --leaders 0",
+       "--leaders must be at least 1, got 0"},
+      {"latency --cluster test --nodes 2 --ppn 2 --pipeline 0",
+       "--pipeline must be at least 1, got 0"},
+      {"latency --cluster test --nodes 2 --ppn 2 --sizes abc",
+       "--sizes: size range must be LO:HI[:FACTOR], got 'abc'"},
+      {"latency --cluster test --nodes 2 --ppn 2 --sizes 1024",
+       "--sizes: size range must be LO:HI[:FACTOR], got '1024'"},
+      {"latency --cluster test --nodes 2 --ppn 2 --sizes 4:abc",
+       "--sizes: bad size 'abc'"},
+      {"latency --cluster test --nodes 2 --ppn 2 --sizes 64:4",
+       "--sizes: size range '64:4' needs 1 <= LO <= HI"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CliRun r = run_dpmlsim(dir_, args);
+    EXPECT_EQ(r.status, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("dpmlsim: " + message), std::string::npos)
+        << args << "\n" << r.output;
+    EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+  }
+}
+
+TEST_F(DpmlsimCliTest, TableShapeErrorsNameTheKindLevelAndRule) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"<=100 rd\n",
+       "(allreduce, @c0): the last entry must be the catch-all '*', got "
+       "<=100"},
+      {"* rd\n<=100 ring\n",
+       "(allreduce, @c0): the catch-all '*' must be its last entry"},
+      {"<=100 rd\n<=100 ring\n* rd\n",
+       "(allreduce, @c0): size bounds must strictly ascend, got <=100 before "
+       "<=100"},
+      {"* rd\n@c7 * ring\n",
+       "(allreduce, @c7): contention level must lie in [0, 4)"},
+  };
+  for (const auto& [table, message] : cases) {
+    write_file(dir_ / "shape.txt", table);
+    const CliRun r =
+        run_dpmlsim(dir_, std::string(kLatency) + "--table shape.txt");
+    EXPECT_EQ(r.status, 1) << table << r.output;
+    EXPECT_NE(r.output.find("dpmlsim: --table shape.txt: selection table " +
+                            message),
+              std::string::npos)
+        << table << r.output;
+    EXPECT_EQ(r.output.find(".cpp:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("verified"), std::string::npos) << r.output;
+  }
+}
+
 TEST_F(DpmlsimCliTest, TableWithoutTheRequestedKindIsRejectedBeforeTheRun) {
   write_file(dir_ / "reduce.txt", "reduce * dpml 2\n");
   const CliRun r =

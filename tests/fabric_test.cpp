@@ -928,6 +928,32 @@ class Differential {
   std::vector<RateSnapshot> seen_[2];
 };
 
+// SplitMix64: a platform-independent script generator.
+class Script {
+ public:
+  explicit Script(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  int pick(int n) {
+    return static_cast<int>(next() % static_cast<std::uint64_t>(n));
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+// Every counter of a run, in declaration order except fill_visits (which
+// the filling loop's cost bounds gate separately).
+std::vector<std::uint64_t> counters(const fabric::FabricStats& st) {
+  return {st.recomputes,        st.fill_rounds,     st.completions_armed,
+          st.completions_superseded, st.solved_flows, st.live_flows,
+          st.closure_merges};
+}
+
 // Drives the differential through a seeded script of flow starts (two- and
 // four-link flows, single-leg legs and bursts of long flows), way failures
 // and recoveries, and two overlapping capacity windows. Rate caps and
@@ -954,17 +980,8 @@ fabric::FabricStats run_incremental_differential(const net::ClusterConfig& cfg,
   };
   Differential d(cfg, nodes, scale, {20 * us, 40 * us, 60 * us, 90 * us});
 
-  // SplitMix64: a platform-independent script.
-  std::uint64_t state = seed;
-  const auto next = [&state]() {
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
-  const auto pick = [&next](int n) {
-    return static_cast<int>(next() % static_cast<std::uint64_t>(n));
-  };
+  Script script(seed);
+  const auto pick = [&script](int n) { return script.pick(n); };
   const double link = topo.node_link_gbps;
   const double way = topo.core_way_gbps;
   const double caps[] = {link,
@@ -1019,9 +1036,19 @@ TEST(FabricIncrementalTest, MatchesFromScratchReferenceOnTestPreset) {
   // window.
   auto cfg = net::test_cluster(8);
   cfg.oversubscription = 1.0 + 4e-10;
+  // Each seed's counters (recomputes, filling rounds, armed, superseded,
+  // solved flows, live flows, closure merges) are locked exactly: the
+  // filling loop's bookkeeping decides which components a solve couples
+  // and so how many flows later solves take.
+  const std::vector<std::uint64_t> locks[] = {
+      {1129, 3198, 1042, 501, 15536, 16664, 35},
+      {1046, 2231, 955, 451, 8531, 9598, 42},
+      {1177, 5053, 1122, 556, 27058, 27745, 21}};
   fabric::FabricStats total;
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    total += run_incremental_differential(cfg, 8, seed);
+    const fabric::FabricStats st = run_incremental_differential(cfg, 8, seed);
+    EXPECT_EQ(counters(st), locks[seed - 1]) << "seed " << seed;
+    total += st;
   }
   // The closure rule fired, and the solves stayed smaller than the live set.
   EXPECT_GT(total.closure_merges, 0u);
@@ -1059,12 +1086,74 @@ TEST(FabricIncrementalTest, CouplingSurvivesUnwalkedDenseSolves) {
 
 TEST(FabricIncrementalTest, MatchesFromScratchReferenceOnClusterD) {
   // Cluster D: 2-node leaves, two 8.8 GB/s ways under 11 GB/s edges.
+  const std::vector<std::uint64_t> locks[] = {
+      {1037, 5004, 986, 491, 22031, 22794, 18},
+      {952, 2217, 900, 444, 7190, 8538, 23}};
   fabric::FabricStats total;
   for (std::uint64_t seed : {4ULL, 5ULL}) {
-    total += run_incremental_differential(net::cluster_d(), 16, seed);
+    const fabric::FabricStats st =
+        run_incremental_differential(net::cluster_d(), 16, seed);
+    EXPECT_EQ(counters(st), locks[seed - 4]) << "seed " << seed;
+    total += st;
   }
   EXPECT_GT(total.closure_merges, 0u);
   EXPECT_LT(total.solved_flows, total.live_flows);
+}
+
+TEST(FabricIncrementalTest, DenseUniformTrafficMatchesReferenceOnClusterD) {
+  // Uniform traffic on 16 nodes of cluster D: 112 flows start together and
+  // 288 more arrive while they drain, so the solves hold 100+ live flows in
+  // one component (dense mode) and run many filling rounds. Some caps sit
+  // 5e-10 above an edge link's or a core way's fair share, inside its
+  // freeze window but above it, so a flow that does not cross that link
+  // still freezes at its level.
+  const auto cfg = net::cluster_d();
+  const int nodes = 16;
+  const FabricTopo topo = FabricTopo::derive(cfg, nodes);
+  const double link = topo.node_link_gbps;
+  const double way = topo.core_way_gbps;
+  const double above = 1.0 + 5e-10;
+  const double caps[] = {link,          link,
+                         link / 4.0 * above, link / 8.0 * above,
+                         way / 3.0 * above,  way / 6.0 * above};
+  Differential d(cfg, nodes);
+  Script script(7);
+  int max_live = 0;
+  int ops = 0;
+  const auto start = [&]() {
+    const int a = script.pick(nodes);
+    const int b = (a + 1 + script.pick(nodes - 1)) % nodes;
+    const auto bytes = 8192 + static_cast<std::uint64_t>(script.pick(57344));
+    d.start_flow(a, b, bytes, caps[script.pick(std::size(caps))]);
+    max_live = std::max(max_live, d.fabric().active_flows());
+  };
+  d.eng.schedule_call(0, [&]() {
+    for (int i = 0; i < 112; ++i) start();
+    d.check("initial burst");
+  });
+  sim::Time at = 0;
+  for (int i = 0; i < 288; ++i) {
+    at += static_cast<sim::Time>(40 + script.pick(120)) * sim::kNanosecond;
+    d.eng.schedule_call(at, [&]() {
+      start();
+      d.check("arrival " + std::to_string(++ops));
+    });
+  }
+  d.run_and_verify();
+  EXPECT_EQ(ops, 288);
+  EXPECT_GE(max_live, 100);
+  const fabric::FabricStats& st = d.fabric().stats();
+  EXPECT_GE(st.fill_rounds, 8 * st.recomputes)
+      << st.fill_rounds << " rounds over " << st.recomputes << " solves";
+  EXPECT_EQ(counters(st), (std::vector<std::uint64_t>{800, 19243, 799, 399,
+                                                      151509, 151600, 0}));
+  // Filling work stays proportional to the flows solved. Scanning every
+  // unfrozen flow each round and re-summing each changed link over all of
+  // its members costs 26.3 visits per solved flow here; freezing from
+  // saturated links and re-summing after each link's frozen prefix costs
+  // 17.4.
+  EXPECT_LE(st.fill_visits, 20 * st.solved_flows)
+      << st.fill_visits << " visits for " << st.solved_flows << " flows";
 }
 
 // ---------------------------------------------------------------------------

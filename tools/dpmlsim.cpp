@@ -153,9 +153,10 @@ int usage() {
   return 2;
 }
 
-// A flag whose value a library *_by_name parser maps to one of its choices.
-// The parsers throw util::InvariantError listing the valid names; the flag
-// is prefixed so the message says which input was wrong.
+// A flag whose value a library parser maps to one of its choices (the
+// *_by_name parsers) or to a value (parse_size_range). The parsers throw
+// util::InvariantError saying what is valid; the flag is prefixed so the
+// message says which input was wrong.
 template <typename Parse>
 auto choice_flag(const util::Args& args, const std::string& flag,
                  const std::string& def, Parse parse) {
@@ -164,6 +165,11 @@ auto choice_flag(const util::Args& args, const std::string& flag,
   } catch (const util::InvariantError& e) {
     throw util::InvariantError("--" + flag + ": " + e.what());
   }
+}
+
+// --sizes LO:HI[:FACTOR] (default 4:1M), a geometric sweep of byte sizes.
+std::vector<std::size_t> sizes_flag(const util::Args& args) {
+  return choice_flag(args, "sizes", "4:1M", util::Args::parse_size_range);
 }
 
 // --collective KIND (default allreduce).
@@ -250,7 +256,7 @@ void print_fabric_stats(const fabric::FabricStats& s) {
             << " completion events armed, " << s.completions_superseded
             << " superseded, " << s.solved_flows << " flows re-solved of "
             << s.live_flows << " live, " << s.closure_merges
-            << " closure merges\n";
+            << " closure merges, " << s.fill_visits << " filling visits\n";
 }
 
 void write_fabric_stats_json(std::ostream& os, const fabric::FabricStats& s) {
@@ -261,7 +267,8 @@ void write_fabric_stats_json(std::ostream& os, const fabric::FabricStats& s) {
      << ",\n"
      << "  \"fabric_solved_flows\": " << s.solved_flows << ",\n"
      << "  \"fabric_live_flows\": " << s.live_flows << ",\n"
-     << "  \"fabric_closure_merges\": " << s.closure_merges << ",\n";
+     << "  \"fabric_closure_merges\": " << s.closure_merges << ",\n"
+     << "  \"fabric_fill_visits\": " << s.fill_visits << ",\n";
 }
 
 // Aggregate host-side perf counters across a sweep, serializable as the
@@ -413,8 +420,8 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
   core::CollSpec spec;
   spec.algo = algo_flag(args, kind,
                         kind == core::CollKind::allreduce ? "dpml" : "auto");
-  spec.leaders = static_cast<int>(args.get_int("leaders", 4));
-  spec.pipeline_k = static_cast<int>(args.get_int("pipeline", 1));
+  spec.leaders = static_cast<int>(args.get_int_at_least("leaders", 4, 1));
+  spec.pipeline_k = static_cast<int>(args.get_int_at_least("pipeline", 1, 1));
   const std::string perf_json = args.get_file("perf-json");
   // --table FILE: dispatch through a tuned selection table instead.
   std::optional<core::SelectionTable> table;
@@ -434,7 +441,7 @@ int cmd_latency(const util::Args& args, const net::ClusterConfig& cfg,
                                  coll::coll_kind_name(kind));
     }
   }
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sizes_flag(args);
   const core::MeasureOptions opt = measure_opts(args);
   // Under perturbations (or multi-repetition runs) the latency is a
   // distribution, so the table widens to median/p99 plus the measured
@@ -550,7 +557,7 @@ int cmd_verify(const util::Args& args, const net::ClusterConfig& cfg) {
 
 int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
               int nodes, int ppn) {
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sizes_flag(args);
   std::vector<std::string> header{"msg size"};
   for (int l : {1, 2, 4, 8, 16}) header.push_back("l=" + std::to_string(l));
   util::Table t(header);
@@ -574,7 +581,7 @@ int cmd_sweep(const util::Args& args, const net::ClusterConfig& cfg,
 
 int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
              int ppn) {
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sizes_flag(args);
   const std::string out = args.get_file("out");
   const auto table = core::SelectionTable::tune(
       collective_kind(args), cfg, nodes, ppn, sizes, measure_opts(args));
@@ -590,7 +597,7 @@ int cmd_tune(const util::Args& args, const net::ClusterConfig& cfg, int nodes,
 
 int cmd_pingpong(const util::Args& args, const net::ClusterConfig& cfg) {
   const bool intra = args.get_bool("intra", false);
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sizes_flag(args);
   util::Table t({"msg size", "one-way latency"});
   for (std::size_t bytes : sizes) {
     t.row()
@@ -607,7 +614,7 @@ int cmd_throughput(const util::Args& args, const net::ClusterConfig& cfg,
                    int /*nodes*/, int /*ppn*/) {
   const int pairs = static_cast<int>(args.get_int("pairs", 8));
   const bool intra = args.get_bool("intra", false);
-  const auto sizes = util::Args::parse_size_range(args.get("sizes", "4:1M"));
+  const auto sizes = sizes_flag(args);
   util::Table t({"msg size", "1 pair (MB/s)", "aggregate (MB/s)", "relative"});
   for (std::size_t bytes : sizes) {
     apps::MbwMrOptions one;
